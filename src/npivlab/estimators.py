@@ -402,7 +402,8 @@ def constrained_estimate(
         )
     Sj = s[:J]
     d = U[:, :J].T @ b
-    G = constraints.matrix_on_values(A.x_grid) / sw[None, :]
+    G = constraints.matrix_on_values(A.x_grid)
+    G /= sw[None, :]
     A_red = G @ Vt[:J].T
     y, mu, iterations, converged = _solve_inequality_qp(Sj, d, A_red, maxit)
     u = Vt[:J].T @ y

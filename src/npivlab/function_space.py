@@ -9,6 +9,7 @@ difference stencils well scaled).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,15 +172,40 @@ def resample_matrix(src: Grid, targets: np.ndarray) -> np.ndarray:
     Barycentric polynomial interpolation from Gauss grids (the functions in
     this package are polynomials or analytic, so this is essentially exact),
     linear interpolation from uniform grids.
+
+    The matrix is built once per source rule, nodes, weights and targets and
+    then cached, so every caller gets the same shared array. It is
+    read-only: copy it before writing into it.
     """
     targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 1:
+        raise ValueError("resample targets must be a 1-d array")
+    return _cached_resample_matrix(
+        src.rule, src.nodes.tobytes(), src.weights.tobytes(), targets.tobytes()
+    )
+
+
+# A few distinct (grid, targets) pairs occur per run; each entry holds one
+# targets-by-nodes matrix (4 MB at 1001 x 512), so keep the bound small.
+@functools.lru_cache(maxsize=4)
+def _cached_resample_matrix(
+    rule: str, nodes: bytes, weights: bytes, targets: bytes
+) -> np.ndarray:
+    src = Grid(np.frombuffer(nodes), np.frombuffer(weights), rule)
+    R = _build_resample_matrix(src, np.frombuffer(targets))
+    R.flags.writeable = False
+    return R
+
+
+def _build_resample_matrix(src: Grid, targets: np.ndarray) -> np.ndarray:
     if src.rule == GAUSS_LEGENDRE:
         bw = _barycentric_weights(src)
         diff = targets[:, None] - src.nodes[None, :]
+        # Take the exact-node mask before diff is overwritten by the terms.
         exact_rows, exact_cols = np.nonzero(np.abs(diff) < 1e-14)
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = bw[None, :] / diff
-            R = terms / terms.sum(axis=1, keepdims=True)
+            R = np.divide(bw, diff, out=diff)
+            R /= R.sum(axis=1, keepdims=True)
         R[exact_rows] = 0.0
         R[exact_rows, exact_cols] = 1.0
         return R
@@ -240,9 +266,9 @@ def differentiation_matrix(grid: Grid) -> np.ndarray:
         return D
     h = grid.nodes[1] - grid.nodes[0]
     D = np.zeros((n, n))
-    for i in range(1, n - 1):
-        D[i, i - 1] = -0.5 / h
-        D[i, i + 1] = 0.5 / h
+    i = np.arange(1, n - 1)
+    D[i, i - 1] = -0.5 / h
+    D[i, i + 1] = 0.5 / h
     D[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
     D[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
     return D

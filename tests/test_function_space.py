@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,12 @@ from npivlab.function_space import (
     l2_norm,
     make_grid,
     resample,
+    resample_matrix,
     sobolev_norm,
+)
+from npivlab.function_space import (
+    _build_resample_matrix,
+    _cached_resample_matrix,
 )
 
 
@@ -131,6 +138,51 @@ def test_resample_from_uniform_is_linear_interpolation():
     np.testing.assert_allclose(got.values, np.interp(target.nodes, src.nodes, f.values))
 
 
+@pytest.mark.parametrize("rule", [GAUSS_LEGENDRE, UNIFORM_TRAPEZOID])
+def test_resample_matrix_is_memoized_and_read_only(rule):
+    src = make_grid(64, rule)
+    targets = default_inspection_grid().nodes
+    R = resample_matrix(src, targets)
+    np.testing.assert_array_equal(R, _build_resample_matrix(src, targets))
+    # an equal grid built afresh hits the same entry
+    assert resample_matrix(make_grid(64, rule), targets.copy()) is R
+    with pytest.raises(ValueError):
+        R[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("rule", [GAUSS_LEGENDRE, UNIFORM_TRAPEZOID])
+def test_resample_matrix_rows_at_source_nodes_are_unit_rows(rule):
+    src = make_grid(16, rule)
+    cols = np.array([0, 5, 15])
+    targets = np.sort(np.concatenate([src.nodes[cols], [0.123, 0.777]]))
+    R = resample_matrix(src, targets)
+    assert np.all(np.isfinite(R))
+    rows = np.searchsorted(targets, src.nodes[cols])
+    np.testing.assert_array_equal(R[rows], np.eye(src.size)[cols])
+
+
+def test_resample_matrix_rejects_non_vector_targets(gauss128):
+    with pytest.raises(ValueError):
+        resample_matrix(gauss128, np.zeros((2, 3)))
+
+
+def test_resample_matrix_threaded_equals_serial():
+    cases = [
+        (make_grid(n, rule), make_grid(m, UNIFORM_TRAPEZOID).nodes)
+        for n in (32, 128)
+        for rule in (GAUSS_LEGENDRE, UNIFORM_TRAPEZOID)
+        for m in (257, 1001)
+    ]
+    serial = [_build_resample_matrix(src, t) for src, t in cases]
+    # more keys than cache entries, so threads also race on evictions
+    _cached_resample_matrix.cache_clear()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(resample_matrix, src, t) for src, t in cases * 3]
+        threaded = [f.result(timeout=60) for f in futures]
+    for got, want in zip(threaded, serial * 3):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_derivative_second_order_accuracy():
     fine = make_grid(2001, UNIFORM_TRAPEZOID)
     f = GridFunction(fine, np.sin(fine.nodes))
@@ -150,6 +202,18 @@ def test_differentiation_matrix_spectral_on_gauss(gauss128):
     np.testing.assert_allclose(D @ x**3, 3.0 * x**2, atol=1e-10)
     # constants are annihilated
     assert np.abs(D @ np.ones(128)).max() < 1e-10
+
+
+def test_differentiation_matrix_uniform_matches_stencil_loop():
+    g = make_grid(9, UNIFORM_TRAPEZOID)
+    n, h = g.size, g.nodes[1] - g.nodes[0]
+    want = np.zeros((n, n))
+    for i in range(1, n - 1):
+        want[i, i - 1] = -0.5 / h
+        want[i, i + 1] = 0.5 / h
+    want[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
+    want[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
+    np.testing.assert_array_equal(differentiation_matrix(g), want)
 
 
 def test_sobolev_norm_of_square(gauss128):
