@@ -38,9 +38,14 @@ from .function_space import (
     l2_norm,
     resample_matrix,
 )
-from .operators import DiscreteOperator, apply, weighted_matrix
+from .operators import (
+    SVD_TRUNCATION_RTOL,
+    DiscreteOperator,
+    _truncation_rank,
+    apply,
+    weighted_matrix,
+)
 
-SVD_TRUNCATION_RTOL = 1e-12
 QP_MAX_ITERATIONS = 2000
 
 
@@ -128,6 +133,7 @@ class EstimateResult:
     condition_diagnostic: float
     converged: bool = True
     solver: str = ""
+    iterations: int = 0
 
 
 def _weighted_system(A: DiscreteOperator, r: GridFunction):
@@ -173,7 +179,11 @@ def tir_estimate(A: DiscreteOperator, r: GridFunction, cfg: TirConfig) -> Estima
     pen = float(u @ u)
     if cfg.penalty == "sobolev_first_order":
         pen += float(np.linalg.norm(F @ u) ** 2)
-    smallest_eig = float(np.linalg.eigvalsh(H)[0])
+    # H depends on the operator, lam and the penalty only, not on r.
+    smallest_eig = A.memo(
+        ("tir_eigenvalue_floor", cfg.lam, cfg.penalty),
+        lambda: float(np.linalg.eigvalsh(H)[0]),
+    )
     return EstimateResult(
         phi_hat=GridFunction(A.x_grid, u / sw),
         objective=fit + cfg.lam * pen,
@@ -205,16 +215,15 @@ def naive_estimate(A: DiscreteOperator, r: GridFunction) -> EstimateResult:
     that smallest retained singular value.
     """
     M, sw, rt = _weighted_system(A, r)
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    keep = s > SVD_TRUNCATION_RTOL * (s[0] if s.size else 0.0)
-    J = int(keep.sum())
+    f = A.svd
+    J = f.rank
     if J == 0:
         u = np.zeros(M.shape[1])
         sigma_min = 0.0
     else:
-        coeffs = (U[:, :J].T @ rt) / s[:J]
-        u = Vt[:J].T @ coeffs
-        sigma_min = float(s[J - 1])
+        coeffs = (f.U[:, :J].T @ rt) / f.s[:J]
+        u = f.Vt[:J].T @ coeffs
+        sigma_min = float(f.s[J - 1])
     fit = float(np.linalg.norm(M @ u - rt) ** 2)
     return EstimateResult(
         phi_hat=GridFunction(A.x_grid, u / sw),
@@ -371,20 +380,22 @@ def constrained_estimate(
         raise ValueError("constrained_estimate requires lam >= 0")
     M, sw, rt = _weighted_system(A, r)
     n = M.shape[1]
-    blocks = [M]
-    rhs = [rt]
     if cfg.lam > 0:
         root = math.sqrt(cfg.lam)
-        blocks.append(root * np.eye(n))
-        rhs.append(np.zeros(n))
+        blocks = [M, root * np.eye(n)]
+        rhs = [rt, np.zeros(n)]
         if cfg.penalty == "sobolev_first_order":
             blocks.append(root * _derivative_form(A))
             rhs.append(np.zeros(n))
-    B = np.vstack(blocks)
-    b = np.concatenate(rhs)
-    U, s, Vt = np.linalg.svd(B, full_matrices=False)
-    keep = s > SVD_TRUNCATION_RTOL * (s[0] if s.size else 0.0)
-    J = int(keep.sum())
+        B = np.vstack(blocks)
+        b = np.concatenate(rhs)
+        U, s, Vt = np.linalg.svd(B, full_matrices=False)
+        J = _truncation_rank(s)
+    else:
+        # With lam = 0 the stacked matrix is M itself: reuse its SVD.
+        B, b = M, rt
+        f = A.svd
+        U, s, Vt, J = f.U, f.s, f.Vt, f.rank
     if J == 0:
         phi = GridFunction(A.x_grid, np.zeros(n))
         verdicts = {
@@ -422,6 +433,7 @@ def constrained_estimate(
         condition_diagnostic=float(Sj[-1]),
         converged=converged,
         solver="constrained",
+        iterations=iterations,
     )
 
 
@@ -489,12 +501,10 @@ def _probe_directions(A: DiscreteOperator, psi_index: int = 50):
     from .counterexamples import MONOTONE, CounterexampleSpec, psi as psi_fn
 
     fzw = A.fz_weights
-    U, s, _ = np.linalg.svd(weighted_matrix(A), full_matrices=False)
-    keep = s > SVD_TRUNCATION_RTOL * (s[0] if s.size else 0.0)
-    J = max(int(keep.sum()), 1)
+    f = A.svd
     sqrt_fzw = np.sqrt(fzw)
     inv = np.where(sqrt_fzw > 0, 1.0 / np.where(sqrt_fzw > 0, sqrt_fzw, 1.0), 0.0)
-    worst = U[:, J - 1] * inv
+    worst = f.U[:, max(f.rank, 1) - 1] * inv
 
     image = apply(A, psi_fn(CounterexampleSpec(MONOTONE, psi_index), A.x_grid)).values
     noise = np.random.default_rng(0).standard_normal(A.z_grid.size)

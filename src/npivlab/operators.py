@@ -10,6 +10,11 @@ on the other makes A annihilate constants' error exactly.
 Singular values are reported for the weighted matrix
 W_z^(1/2) K W_x^(-1/2), whose singular values are those of the operator
 between the weighted L2 spaces rather than artifacts of node placement.
+
+An operator is immutable, so everything computed from it alone (the
+weighted matrix, its truncated SVD, the solvers' eigenvalue floors) is
+computed once, on first use, and kept on the operator as shared read-only
+arrays.
 """
 
 from __future__ import annotations
@@ -19,6 +24,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .function_space import Grid, GridFunction, GridMismatchError
+
+SVD_TRUNCATION_RTOL = 1e-12
+
+
+def _truncation_rank(s: np.ndarray) -> int:
+    """Count of singular values above SVD_TRUNCATION_RTOL times the largest."""
+    return int(np.sum(s > SVD_TRUNCATION_RTOL * (s[0] if s.size else 0.0)))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
+class TruncatedSvd:
+    """Thin SVD of the weighted matrix, truncated at SVD_TRUNCATION_RTOL.
+
+    rank J counts the singular values above SVD_TRUNCATION_RTOL times the
+    largest; U holds the first max(J, 1) left vectors as columns, Vt the
+    first max(J, 1) right vectors as rows, and s every singular value. The
+    arrays are shared by every solve on the operator and are read-only.
+    """
+
+    U: np.ndarray
+    s: np.ndarray
+    Vt: np.ndarray
+    rank: int
 
 
 @dataclass(frozen=True)
@@ -37,10 +70,17 @@ class DiscreteOperator:
     flagged_z: np.ndarray | None = None
 
     def __post_init__(self):
+        # Stored read-only, so nothing cached from them can go stale; a
+        # writeable input is copied first, leaving the caller's array alone.
         K = np.asarray(self.kernel_matrix, dtype=float)
         fzw = np.asarray(self.fz_weights, dtype=float)
+        if K.flags.writeable:
+            K = _read_only(K.copy())
+        if fzw.flags.writeable:
+            fzw = _read_only(fzw.copy())
         object.__setattr__(self, "kernel_matrix", K)
         object.__setattr__(self, "fz_weights", fzw)
+        object.__setattr__(self, "_cache", {})
         if K.shape != (self.z_grid.size, self.x_grid.size):
             raise ValueError("kernel matrix shape must be (z size, x size)")
         row_sums = K.sum(axis=1)
@@ -48,6 +88,45 @@ class DiscreteOperator:
             raise ValueError("kernel rows must integrate to 1 within 1e-8")
         if fzw.shape != (self.z_grid.size,) or np.any(fzw < 0):
             raise ValueError("fz_weights must be nonnegative, one per z node")
+
+    def memo(self, key, build):
+        """Return build(), computed once per key for this operator.
+
+        For values that depend on the operator and the key alone. Threads
+        that race on a missing key may each call build, but all of them
+        get the value stored first; an exception is raised, not stored.
+        """
+        try:
+            return self._cache[key]
+        except KeyError:
+            return self._cache.setdefault(key, build())
+
+    @property
+    def weighted(self) -> np.ndarray:
+        """The weighted matrix of `weighted_matrix`, shared and read-only."""
+        return self.memo("weighted", self._build_weighted)
+
+    @property
+    def svd(self) -> TruncatedSvd:
+        """Truncated thin SVD of the weighted matrix, shared and read-only."""
+        return self.memo("svd", self._build_svd)
+
+    def _build_weighted(self) -> np.ndarray:
+        sz = np.sqrt(self.fz_weights)
+        sx = np.sqrt(self.x_grid.weights)
+        return _read_only(sz[:, None] * self.kernel_matrix / sx[None, :])
+
+    def _build_svd(self) -> TruncatedSvd:
+        U, s, Vt = np.linalg.svd(self.weighted, full_matrices=False)
+        J = _truncation_rank(s)
+        # Copies of the retained block only, so the full factors can go.
+        k = max(J, 1)
+        return TruncatedSvd(
+            U=_read_only(U[:, :k].copy()),
+            s=_read_only(s),
+            Vt=_read_only(Vt[:k].copy()),
+            rank=J,
+        )
 
 
 @dataclass(frozen=True)
@@ -104,10 +183,11 @@ def weighted_matrix(A: DiscreteOperator) -> np.ndarray:
 
     With u = sqrt(w_x) phi and v = sqrt(fz_weights) (A phi), the map u -> v
     is this matrix; Euclidean norms of u and v equal the weighted L2 norms.
+
+    The matrix is built once per operator and shared by every caller. It is
+    read-only: copy it before writing into it.
     """
-    sz = np.sqrt(A.fz_weights)
-    sx = np.sqrt(A.x_grid.weights)
-    return sz[:, None] * A.kernel_matrix / sx[None, :]
+    return A.weighted
 
 
 def svd_report(A: DiscreteOperator, rank_tolerance: float = 1e-12) -> SvdReport:

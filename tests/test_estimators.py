@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from npivlab.estimators import (
     ConstraintSet,
     DegenerateSampleError,
     TirConfig,
+    _derivative_form,
     constrained_estimate,
     naive_estimate,
     sampled_plugin,
@@ -169,6 +171,8 @@ class TestConstrained:
         unconstrained = tir_estimate(A, r, cfg)
         constrained = constrained_estimate(A, r, cfg, MONOTONE_SET)
         assert constrained.converged
+        # feasible without constraints: the QP takes no step
+        assert constrained.iterations == 0
         assert np.abs(
             constrained.phi_hat.values - unconstrained.phi_hat.values
         ).max() < 1e-8
@@ -181,6 +185,7 @@ class TestConstrained:
         perturbed = GridFunction(z, r.values + eps * shift)
         result = constrained_estimate(A, perturbed, TirConfig(lam=0.0), MONOTONE_SET)
         assert result.converged
+        assert result.iterations >= 1
         assert result.kkt_residual <= 1e-6
         err = l2_norm(GridFunction(x, result.phi_hat.values - phi0.values))
         assert err >= 0.5 * eps
@@ -205,6 +210,7 @@ class TestConstrained:
             A, perturbed, TirConfig(lam=0.0), MONOTONE_SET, maxit=1
         )
         assert not result.converged
+        assert result.iterations == 1
         assert np.all(np.isfinite(result.phi_hat.values))
         assert np.isfinite(result.kkt_residual)
 
@@ -367,3 +373,74 @@ class TestStabilityProbe:
         _, _, A, _, r = problem
         with pytest.raises(ValueError):
             stability_probe(A, r, [1e-6], TirConfig(lam=0.0))
+
+
+def _fresh_problem():
+    x = make_grid(64)
+    spec = DgpSpec(rho=0.5)
+    A = discretize(make_dgp(spec), x, make_grid(64))
+    return x, A, apply(A, phi0_on_grid(spec, x))
+
+
+def _perturbed_data(x, A, r, indices):
+    return [
+        GridFunction(
+            r.grid, r.values + 0.1 * apply(A, psi(CounterexampleSpec(MONOTONE, n), x)).values
+        )
+        for n in indices
+    ]
+
+
+class TestFactorizationReuse:
+    def test_one_svd_per_operator(self, monkeypatch):
+        x, A, r = _fresh_problem()
+        data = _perturbed_data(x, A, r, range(8))
+        calls = []
+        original = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        naive_estimate(A, r)
+        for rr in data:
+            naive_estimate(A, rr)
+            constrained_estimate(A, rr, TirConfig(lam=0.0), MONOTONE_SET)
+        assert len(calls) == 1
+
+    def test_condition_diagnostic_is_exact_per_lambda_and_penalty(self):
+        _, A, r = _fresh_problem()
+        M = weighted_matrix(A)
+        n = M.shape[1]
+        F = _derivative_form(A)
+        for _ in range(2):
+            for lam in (1e-6, 1e-2):
+                for penalty in ("sobolev_first_order", "l2_only"):
+                    H = M.T @ M + lam * np.eye(n)
+                    if penalty == "sobolev_first_order":
+                        H = H + lam * (F.T @ F)
+                    want = float(np.linalg.eigvalsh(H)[0])
+                    got = tir_estimate(A, r, TirConfig(lam=lam, penalty=penalty))
+                    assert got.condition_diagnostic == want, (lam, penalty)
+
+    def test_threads_sharing_an_operator_match_serial(self):
+        x, serial_op, r = _fresh_problem()
+        _, shared_op, _ = _fresh_problem()
+        data = _perturbed_data(x, serial_op, r, (1, 5, 20, 50))
+        cfg = TirConfig(lam=1e-4)
+
+        def solve_all(A, rr):
+            return [
+                naive_estimate(A, rr),
+                tir_estimate(A, rr, cfg),
+                constrained_estimate(A, rr, TirConfig(lam=0.0), MONOTONE_SET),
+            ]
+
+        serial = [solve_all(serial_op, rr) for rr in data]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda rr: solve_all(shared_op, rr), data))
+        for want_row, got_row in zip(serial, threaded):
+            for want, got in zip(want_row, got_row):
+                np.testing.assert_array_equal(got.phi_hat.values, want.phi_hat.values)
+                assert got.condition_diagnostic == want.condition_diagnostic

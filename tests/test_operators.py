@@ -12,9 +12,11 @@ from npivlab.counterexamples import (
     analytic_sup_A_psi_bound,
     psi,
 )
-from npivlab.dgp import DgpSpec, make_dgp, phi0_on_grid
+from npivlab.dgp import DgpSpec, make_dgp, phi0_on_grid, sample
+from npivlab.estimators import TirConfig, sampled_plugin
 from npivlab.function_space import GridFunction, GridMismatchError, l2_norm, make_grid
 from npivlab.operators import (
+    SVD_TRUNCATION_RTOL,
     DiscreteOperator,
     adjoint_apply,
     apply,
@@ -330,3 +332,89 @@ def test_operator_validation():
         DiscreteOperator(
             x_grid=x, z_grid=z, kernel_matrix=good[:3], fz_weights=z.weights
         )
+
+
+class TestFactorizationCache:
+    @pytest.fixture(scope="class")
+    def operators(self):
+        spec = DgpSpec(rho=0.5)
+        dgp = make_dgp(spec)
+        population = discretize(dgp, make_grid(64), make_grid(64))
+        draws = sample(dgp, 2_000, seed=3)
+        plugin, _ = sampled_plugin(
+            draws,
+            TirConfig(mode="sampled"),
+            make_grid(64),
+            make_grid(64, rule="uniform_trapezoid"),
+        )
+        return {"discretized": population, "sampled_plugin": plugin}
+
+    @pytest.mark.parametrize("kind", ["discretized", "sampled_plugin"])
+    def test_cached_svd_equals_a_fresh_one(self, operators, kind):
+        A = operators[kind]
+        U, s, Vt = np.linalg.svd(weighted_matrix(A), full_matrices=False)
+        f = A.svd
+        J = f.rank
+        assert 0 < J == int(np.sum(s > SVD_TRUNCATION_RTOL * s[0]))
+        np.testing.assert_array_equal(f.U, U[:, :J])
+        np.testing.assert_array_equal(f.s, s)
+        np.testing.assert_array_equal(f.Vt, Vt[:J])
+        assert A.svd is f
+
+    @pytest.mark.parametrize("kind", ["discretized", "sampled_plugin"])
+    def test_cached_arrays_are_shared_and_read_only(self, operators, kind):
+        A = operators[kind]
+        assert weighted_matrix(A) is weighted_matrix(A)
+        arrays = [A.kernel_matrix, A.fz_weights, weighted_matrix(A)]
+        arrays += [A.svd.U, A.svd.s, A.svd.Vt]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_truncated_factors_do_not_hold_the_full_ones(self, independent):
+        # rank one: a view into the full factors would keep them resident
+        f = independent[2].svd
+        assert f.rank == 1
+        assert f.U.shape == (128, 1) and f.Vt.shape == (1, 128)
+        assert f.U.base is None and f.Vt.base is None
+
+    def test_writing_into_the_kernel_raises(self, problem):
+        A = problem[3]
+        with pytest.raises(ValueError):
+            A.kernel_matrix[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            A.fz_weights[0] = 1.0
+
+    def test_caller_arrays_are_copied_not_frozen(self):
+        x = make_grid(8)
+        z = make_grid(4)
+        K = np.tile(x.weights, (4, 1))
+        fzw = z.weights.copy()
+        A = DiscreteOperator(x_grid=x, z_grid=z, kernel_matrix=K, fz_weights=fzw)
+        assert K.flags.writeable and fzw.flags.writeable
+        K[0, 0] = 5.0
+        np.testing.assert_array_equal(A.kernel_matrix[0], x.weights)
+
+    def test_memo_computes_once_and_does_not_store_failures(self):
+        x = make_grid(8)
+        A = DiscreteOperator(
+            x_grid=x, z_grid=x, kernel_matrix=np.tile(x.weights, (8, 1)), fz_weights=x.weights
+        )
+        calls = []
+
+        def build():
+            calls.append(1)
+            return len(calls)
+
+        assert A.memo("k", build) == 1
+        assert A.memo("k", build) == 1
+        assert len(calls) == 1
+
+        def broken():
+            raise np.linalg.LinAlgError("singular")
+
+        for _ in range(2):
+            with pytest.raises(np.linalg.LinAlgError):
+                A.memo("bad", broken)
+        assert A.memo("bad", build) == 2

@@ -1,0 +1,57 @@
+"""Byte gate on the emitted tables: data rows must match the recorded digests.
+
+The configs are the benchmark workloads of ``perfbench/run.py``; the recorded
+SHA-256 of each table's header and data rows (every line not starting with
+``#``, so the timestamped metadata is ignored) is read from
+``perfbench/reference.json``. A change that moves any printed digit of these
+tables fails here.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from npivlab.harness import config_from_mapping, emit_csv, run_experiment
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+WORKLOAD_CONFIGS = {
+    "demo": {
+        "experiment": "illposedness_demo",
+        "quadrature_size": 128,
+        "inspection_size": 1001,
+        "family": "monotone",
+        "n_max": 100,
+        "epsilon": 0.1,
+    },
+    "compare": {
+        "experiment": "estimator_comparison",
+        "quadrature_size": 128,
+        "z_size": 128,
+        "lambdas": [1e-4],
+        "constraints": ["monotone_nondecreasing"],
+    },
+    "compare_n512": {
+        "experiment": "estimator_comparison",
+        "quadrature_size": 512,
+        "z_size": 512,
+        "lambdas": [1e-6, 1e-4, 1e-2],
+        "constraints": ["monotone_nondecreasing", "convex"],
+    },
+}
+
+
+def _data_digest(path: Path) -> str:
+    with open(path, "rb") as handle:
+        data = b"".join(line for line in handle if not line.startswith(b"#"))
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
+def test_table_bytes_match_recorded_digest(name, tmp_path):
+    recorded = json.loads(REFERENCE.read_text(encoding="utf-8"))["digests"][name]
+    out = tmp_path / f"{name}.csv"
+    emit_csv(run_experiment(config_from_mapping(WORKLOAD_CONFIGS[name])), out)
+    assert _data_digest(out) == recorded
