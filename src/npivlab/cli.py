@@ -79,10 +79,7 @@ def main(argv=None) -> int:
         out_path = cfg.out or f"{cfg.experiment}.csv"
         table = run_experiment(cfg)
         emit_csv(table, out_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -70,6 +68,15 @@ EXPERIMENTS = (
 SVD_GRID_SIZES = (64, 128)
 COMPARISON_N_VALUES = (0, 1, 2, 5, 10, 20, 50, 100)
 CONSTRAINT_NAMES = ("nonnegative", "monotone_nondecreasing", "convex")
+_INT_FIELDS = (
+    "quadrature_size",
+    "inspection_size",
+    "z_size",
+    "n_max",
+    "replications",
+    "sample_size",
+    "seed",
+)
 
 
 class ConfigError(ValueError):
@@ -121,6 +128,12 @@ class ExperimentConfig:
             raise ConfigError("dgp must be a DgpSpec")
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.quadrature_size < 2 or self.z_size < 2:
             raise ConfigError("quadrature_size and z_size must be at least 2")
         if self.inspection_size < 4:
@@ -370,25 +383,12 @@ def run_estimator_comparison(cfg: ExperimentConfig) -> ResultTable:
     return ResultTable(columns=columns, rows=rows, metadata=_metadata(cfg))
 
 
-def _thread_count(replications: int) -> int:
-    raw = os.environ.get("NPIVLAB_THREADS", "0").strip() or "0"
-    try:
-        requested = int(raw)
-    except ValueError:
-        raise ConfigError(f"NPIVLAB_THREADS must be an integer, got {raw!r}")
-    if requested < 0:
-        raise ConfigError("NPIVLAB_THREADS must be nonnegative")
-    if requested == 0:
-        requested = os.cpu_count() or 1
-    return max(1, min(requested, replications))
-
-
 def run_montecarlo(cfg: ExperimentConfig) -> ResultTable:
     """Sampled-mode replications of the naive and Tikhonov solvers.
 
-    Each replication draws a sample at seed + offset, builds the kernel
-    plug-in operator and reduced form, and records the interior
-    reconstruction error (weighted RMS over quadrature nodes in
+    Replications run in order; replication i draws a sample at seed + i,
+    builds the kernel plug-in operator and reduced form, and records the
+    interior reconstruction error (weighted RMS over quadrature nodes in
     [0.1, 0.9], away from boundary bias). Degenerate samples produce rows
     with status 'degenerate' rather than aborting the run. Summary rows
     carry the mean and standard deviation over successful replications.
@@ -408,17 +408,18 @@ def run_montecarlo(cfg: ExperimentConfig) -> ResultTable:
         w = x_grid.weights[interior]
         return math.sqrt(float(np.dot(w, err**2)) / weight_sum)
 
-    def run_replication(i: int) -> list:
+    cells = [("naive", 0.0)] + [("tir", lam) for lam in cfg.lambdas]
+    rows = []
+    for i in range(cfg.replications):
         draws = sample(dgp, m, cfg.seed + i)
-        cells = [("naive", 0.0)] + [("tir", lam) for lam in cfg.lambdas]
         try:
             op, r_hat = sampled_plugin(draws, plugin_cfg, x_grid, z_grid)
         except DegenerateSampleError:
-            return [
+            rows.extend(
                 ("replication", i, m, lam, name, float("nan"), "degenerate")
                 for name, lam in cells
-            ]
-        rows = []
+            )
+            continue
         for name, lam in cells:
             if name == "naive":
                 est = naive_estimate(op, r_hat)
@@ -427,18 +428,8 @@ def run_montecarlo(cfg: ExperimentConfig) -> ResultTable:
             rows.append(
                 ("replication", i, m, lam, name, interior_error(est.phi_hat), "ok")
             )
-        return rows
-
-    workers = _thread_count(cfg.replications)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_rep = list(pool.map(run_replication, range(cfg.replications)))
-    else:
-        per_rep = [run_replication(i) for i in range(cfg.replications)]
-    rows = [row for rep_rows in per_rep for row in rep_rows]
 
     summary = []
-    cells = [("naive", 0.0)] + [("tir", lam) for lam in cfg.lambdas]
     for name, lam in cells:
         errs = [
             row[5]

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +96,12 @@ def test_bad_config_files_exit_2(tmp_path, payload, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_2(tmp_path, capsys):
+    code = cli.main(["montecarlo", "--seed", "-1", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert cli.main(["svd", "--config", str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err
@@ -131,10 +139,16 @@ def test_missing_subcommand_is_a_usage_error():
 
 def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     out = tmp_path / "svd.csv"
+    # the child must import the same checkout, also when pytest put src/ on
+    # sys.path through its own pythonpath setting rather than PYTHONPATH
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "npivlab.cli", "svd", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert out.exists()

@@ -350,19 +350,23 @@ class TestMontecarlo:
         means = [row for row in table.rows if row[0] == "mean"]
         assert means and all(math.isfinite(row[5]) for row in means)
 
-    def test_thread_count_env_var(self, monkeypatch):
-        cfg = mc_config(replications=4, sample_size=300)
-        monkeypatch.setenv("NPIVLAB_THREADS", "1")
-        serial = run_montecarlo(cfg)
-        monkeypatch.setenv("NPIVLAB_THREADS", "2")
-        threaded = run_montecarlo(cfg)
-        assert serial.rows == threaded.rows
-        monkeypatch.setenv("NPIVLAB_THREADS", "two")
-        with pytest.raises(ConfigError, match="NPIVLAB_THREADS must be an integer"):
-            run_montecarlo(cfg)
-        monkeypatch.setenv("NPIVLAB_THREADS", "-1")
-        with pytest.raises(ConfigError, match="NPIVLAB_THREADS must be nonnegative"):
-            run_montecarlo(cfg)
+    def test_replication_rows_depend_only_on_seed_plus_index(self):
+        seed = 11
+        longer = run_montecarlo(mc_config(replications=3, sample_size=500, seed=seed))
+        shifted = run_montecarlo(
+            mc_config(replications=2, sample_size=500, seed=seed + 1)
+        )
+
+        def replication_rows(table):
+            return [row for row in table.rows if row[0] == "replication"]
+
+        tail = [
+            (row[0], row[1] - 1) + row[2:]
+            for row in replication_rows(longer)
+            if row[1] >= 1
+        ]
+        assert [row[1] for row in replication_rows(longer)] == [0, 0, 1, 1, 2, 2]
+        assert tail == replication_rows(shifted)
 
 
 class TestCsv:
@@ -513,6 +517,23 @@ class TestConfigLoading:
     def test_missing_experiment_rejected(self):
         with pytest.raises(ConfigError, match="must name an experiment"):
             config_from_mapping({"n_max": 3})
+
+    @pytest.mark.parametrize(
+        "key, value, fragment",
+        [
+            ("quadrature_size", 16.5, "quadrature_size must be an integer"),
+            ("inspection_size", 1001.0, "inspection_size must be an integer"),
+            ("z_size", True, "z_size must be an integer"),
+            ("n_max", 3.5, "n_max must be an integer"),
+            ("replications", 1.5, "replications must be an integer"),
+            ("sample_size", "10000", "sample_size must be an integer"),
+            ("seed", 2.0, "seed must be an integer"),
+            ("seed", -1, "seed must be nonnegative"),
+        ],
+    )
+    def test_counts_and_seed_must_be_nonnegative_integers(self, key, value, fragment):
+        with pytest.raises(ConfigError, match=fragment):
+            config_from_mapping({"experiment": "montecarlo", key: value})
 
     def test_load_config_happy_path(self, tmp_path):
         path = tmp_path / "cfg.json"
