@@ -12,7 +12,7 @@ construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -45,14 +45,18 @@ class DgpSpec:
             raise ValueError("rho must satisfy |rho| < 1")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be nonnegative")
-        if self.phi0 == "custom":
-            if self.phi0_table is None:
-                raise ValueError("custom phi0 requires phi0_table")
-            if len(self.phi0_table) < 2 or any(len(p) != 2 for p in self.phi0_table):
-                raise ValueError("phi0_table must hold at least two (x, y) pairs")
-            xs = [float(p[0]) for p in self.phi0_table]
-            if any(b <= a for a, b in zip(xs, xs[1:])):
+        if self.phi0_table is not None:
+            try:
+                table = tuple((float(x), float(y)) for x, y in self.phi0_table)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"phi0_table must hold (x, y) pairs: {exc}") from None
+            if not all(math.isfinite(v) for pair in table for v in pair):
+                raise ValueError("phi0_table values must be finite")
+            if any(b[0] <= a[0] for a, b in zip(table, table[1:])):
                 raise ValueError("phi0_table x values must be strictly increasing")
+            object.__setattr__(self, "phi0_table", table)
+        if self.phi0 == "custom" and len(self.phi0_table or ()) < 2:
+            raise ValueError("custom phi0 needs a phi0_table of at least two pairs")
 
 
 def phi0_callable(spec: DgpSpec):
@@ -65,8 +69,7 @@ def phi0_callable(spec: DgpSpec):
         return lambda x: np.asarray(x, dtype=float) + 0.25 * np.expm1(
             np.asarray(x, dtype=float)
         )
-    xs = np.array([p[0] for p in spec.phi0_table], dtype=float)
-    ys = np.array([p[1] for p in spec.phi0_table], dtype=float)
+    xs, ys = np.array(spec.phi0_table).T
     return lambda x: np.interp(np.asarray(x, dtype=float), xs, ys)
 
 

@@ -31,7 +31,6 @@ from .function_space import (
     Grid,
     GridFunction,
     ShapeConstraint,
-    ShapeVerdict,
     check_shape,
     default_inspection_grid,
     differentiation_matrix,
@@ -60,30 +59,21 @@ class DegenerateSampleError(NumericalError):
 
 @dataclass(frozen=True)
 class TirConfig:
-    """Regularization weight, penalty form, and estimation mode.
+    """Regularization weight and penalty form.
 
     lam >= 0; the Tikhonov solver itself requires lam > 0, while the
     constrained solver accepts lam = 0 to probe what constraints alone
-    achieve. Bandwidths apply to sampled mode only; when omitted they fall
-    back to the 1.06 * sigma * m^(-1/5) rule of thumb.
+    achieve.
     """
 
     lam: float = 1e-4
     penalty: str = "sobolev_first_order"
-    mode: str = "population"
-    h_x: float | None = None
-    h_z: float | None = None
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
         if self.penalty not in ("sobolev_first_order", "l2_only"):
             raise ValueError(f"unknown penalty {self.penalty!r}")
-        if self.mode not in ("population", "sampled"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        for h in (self.h_x, self.h_z):
-            if h is not None and h <= 0:
-                raise ValueError("bandwidths must be positive")
 
 
 @dataclass(frozen=True)
@@ -102,8 +92,6 @@ class ConstraintSet:
         for c in self.constraints:
             if not isinstance(c, ShapeConstraint):
                 raise ValueError("constraints must be ShapeConstraint instances")
-            if c.tolerance < 0:
-                raise ValueError("constraint tolerance must be nonnegative")
 
     def row_counts(self) -> list[int]:
         n = self.inspection_grid.size
@@ -159,8 +147,6 @@ def tir_estimate(A: DiscreteOperator, r: GridFunction, cfg: TirConfig) -> Estima
     Sobolev penalty the system matrix is M^T M + lam (I + F^T F), symmetric
     positive definite with smallest eigenvalue at least lam.
     """
-    if cfg.mode != "population":
-        raise ValueError("tir_estimate runs in population mode")
     if cfg.lam <= 0:
         raise ValueError("tir_estimate requires lam > 0")
     M, sw, rt = _weighted_system(A, r)
@@ -399,7 +385,7 @@ def constrained_estimate(
     if J == 0:
         phi = GridFunction(A.x_grid, np.zeros(n))
         verdicts = {
-            _verdict_key(c): check_shape(phi, c, constraints.inspection_grid)
+            c.name: check_shape(phi, c, constraints.inspection_grid)
             for c in constraints.constraints
         }
         return EstimateResult(
@@ -421,7 +407,7 @@ def constrained_estimate(
     kkt = _qp_certificate(Sj, d, A_red, y, mu)
     phi = GridFunction(A.x_grid, u / sw)
     verdicts = {
-        _verdict_key(c): check_shape(phi, c, constraints.inspection_grid)
+        c.name: check_shape(phi, c, constraints.inspection_grid)
         for c in constraints.constraints
     }
     return EstimateResult(
@@ -437,13 +423,7 @@ def constrained_estimate(
     )
 
 
-def _verdict_key(c: ShapeConstraint) -> str:
-    if c.kind == "derivative_sign":
-        return f"derivative_sign_{c.order}"
-    return c.kind
-
-
-def sampled_plugin(sample, cfg: TirConfig, x_grid: Grid, z_grid: Grid):
+def sampled_plugin(sample, x_grid: Grid, z_grid: Grid, h_x=None, h_z=None):
     """Kernel plug-in operator and reduced form from a finite sample.
 
     The joint density of (X, Z) is estimated by a product-Gaussian kernel
@@ -453,15 +433,17 @@ def sampled_plugin(sample, cfg: TirConfig, x_grid: Grid, z_grid: Grid):
     renormalized to integrate to one. Nodes where the estimated instrument
     density falls below 1e-6 are flagged and excluded from the fz weights;
     if more than half the nodes are flagged the sample is declared
-    degenerate.
+    degenerate. Bandwidths h_x, h_z default to the 1.06 * sigma * m^(-1/5)
+    rule of thumb.
     """
-    if cfg.mode != "sampled":
-        raise ValueError("sampled_plugin requires sampled mode")
     m = sample.size
     if m < 50:
         raise ValueError("sampled_plugin needs at least 50 observations")
-    hx = cfg.h_x if cfg.h_x is not None else 1.06 * float(np.std(sample.x)) * m**-0.2
-    hz = cfg.h_z if cfg.h_z is not None else 1.06 * float(np.std(sample.z)) * m**-0.2
+    for h in (h_x, h_z):
+        if h is not None and h <= 0:
+            raise ValueError("bandwidths must be positive")
+    hx = h_x if h_x is not None else 1.06 * float(np.std(sample.x)) * m**-0.2
+    hz = h_z if h_z is not None else 1.06 * float(np.std(sample.z)) * m**-0.2
     if not (hx > 1e-12 and hz > 1e-12):
         raise DegenerateSampleError("sample has (near) zero spread in x or z")
     gauss_x = np.exp(-0.5 * ((x_grid.nodes[:, None] - sample.x[None, :]) / hx) ** 2)

@@ -10,7 +10,7 @@ difference stencils well scaled).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,6 +109,13 @@ class ShapeConstraint:
             "convex": 2,
             "derivative_sign": self.order,
         }[self.kind]
+
+    @property
+    def name(self) -> str:
+        """Config spelling and verdict key, e.g. "convex" or "derivative_sign_3"."""
+        if self.kind == "derivative_sign":
+            return f"derivative_sign_{self.order}"
+        return self.kind
 
 
 @dataclass(frozen=True)

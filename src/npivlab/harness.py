@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -46,7 +46,6 @@ from .estimators import (
 )
 from .function_space import (
     UNIFORM_TRAPEZOID,
-    Grid,
     GridFunction,
     ShapeConstraint,
     check_shape,
@@ -58,25 +57,8 @@ from .operators import apply, discretize, q_infinity, svd_report
 
 ARTIFACT_VERSION = "0.1.0"
 
-EXPERIMENTS = (
-    "illposedness_demo",
-    "svd_report",
-    "estimator_comparison",
-    "montecarlo",
-)
-
 SVD_GRID_SIZES = (64, 128)
 COMPARISON_N_VALUES = (0, 1, 2, 5, 10, 20, 50, 100)
-CONSTRAINT_NAMES = ("nonnegative", "monotone_nondecreasing", "convex")
-_INT_FIELDS = (
-    "quadrature_size",
-    "inspection_size",
-    "z_size",
-    "n_max",
-    "replications",
-    "sample_size",
-    "seed",
-)
 
 
 class ConfigError(ValueError):
@@ -84,13 +66,37 @@ class ConfigError(ValueError):
 
 
 def parse_constraint(name: str) -> ShapeConstraint:
-    if name in CONSTRAINT_NAMES:
+    """Inverse of ShapeConstraint.name: "convex", "derivative_sign_3", ..."""
+    head, _, tail = str(name).rpartition("_")
+    try:
+        if head == "derivative_sign" and tail.isdigit():
+            return ShapeConstraint(head, order=int(tail))
         return ShapeConstraint(name)
-    if name.startswith("derivative_sign_"):
-        tail = name[len("derivative_sign_"):]
-        if tail.isdigit() and int(tail) >= 1:
-            return ShapeConstraint("derivative_sign", order=int(tail))
-    raise ConfigError(f"unknown constraint name {name!r}")
+    except ValueError:
+        raise ConfigError(f"unknown constraint name {name!r}") from None
+
+
+def _flat_fields(obj):
+    """(field, value) pairs in declaration order, nested dataclasses inlined."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _flat_fields(value)
+        else:
+            yield f, value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# What a field's annotation demands of its value (annotations are strings
+# under `from __future__ import annotations`).
+_TYPE_RULES = {
+    "int": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
+    "float": ("a finite number", lambda v: _is_number(v) and math.isfinite(v)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+}
 
 
 @dataclass(frozen=True)
@@ -118,20 +124,21 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "lambdas", tuple(float(l) for l in self.lambdas))
+        object.__setattr__(self, "lambdas", tuple(self.lambdas))
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _RUNNERS:
             raise ConfigError(
-                f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}"
+                f"unknown experiment {self.experiment!r}; "
+                f"expected one of {tuple(_RUNNERS)}"
             )
         if not isinstance(self.dgp, DgpSpec):
             raise ConfigError("dgp must be a DgpSpec")
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for f, value in _flat_fields(self):
+            rule = _TYPE_RULES.get(f.type)
+            if rule and not rule[1](value):
+                raise ConfigError(f"{f.name} must be {rule[0]}, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.quadrature_size < 2 or self.z_size < 2:
@@ -156,11 +163,12 @@ class ExperimentConfig:
             )
         if not self.lambdas:
             raise ConfigError("lambdas must contain at least one value")
-        if any(l <= 0 for l in self.lambdas):
+        if not all(_is_number(l) and 0 < l < math.inf for l in self.lambdas):
             raise ConfigError(
-                "Tikhonov lambda values must be positive; got "
-                f"{min(self.lambdas)}"
+                "Tikhonov lambda values must be positive and finite; "
+                f"got {self.lambdas}"
             )
+        object.__setattr__(self, "lambdas", tuple(map(float, self.lambdas)))
         for name in self.constraints:
             parse_constraint(name)
         if self.replications < 1:
@@ -186,33 +194,21 @@ class ResultTable:
         return [row[idx] for row in self.rows]
 
 
+def _echo(value):
+    """Metadata form of a field: tuples join with ';', pairs in them with ':'."""
+    if not isinstance(value, tuple):
+        return "" if value is None else value
+    return ";".join(
+        ":".join(map(_format_cell, v)) if isinstance(v, tuple) else _format_cell(v)
+        for v in value
+    )
+
+
 def _metadata(cfg: ExperimentConfig) -> dict:
-    table = cfg.dgp.phi0_table
-    return {
-        "artifact_version": ARTIFACT_VERSION,
-        "experiment": cfg.experiment,
-        "phi0": cfg.dgp.phi0,
-        "rho": cfg.dgp.rho,
-        "noise_sd": cfg.dgp.noise_sd,
-        "independent_case": cfg.dgp.independent_case,
-        "phi0_table": ""
-        if table is None
-        else ";".join("%.17g:%.17g" % (x, y) for x, y in table),
-        "quadrature_size": cfg.quadrature_size,
-        "inspection_size": cfg.inspection_size,
-        "z_size": cfg.z_size,
-        "family": cfg.family,
-        "n_max": cfg.n_max,
-        "epsilon": cfg.epsilon,
-        "ball_radius": cfg.ball_radius,
-        "lambdas": ";".join("%.17g" % l for l in cfg.lambdas),
-        "constraints": ";".join(cfg.constraints),
-        "replications": cfg.replications,
-        "sample_size": cfg.sample_size,
-        "seed": cfg.seed,
-        "out": cfg.out or "",
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
+    meta = {"artifact_version": ARTIFACT_VERSION}
+    meta.update((f.name, _echo(value)) for f, value in _flat_fields(cfg))
+    meta["timestamp"] = datetime.now(timezone.utc).isoformat()
+    return meta
 
 
 def _require(cfg: ExperimentConfig, experiment: str):
@@ -400,7 +396,6 @@ def run_montecarlo(cfg: ExperimentConfig) -> ResultTable:
     phi0 = phi0_on_grid(cfg.dgp, x_grid)
     interior = (x_grid.nodes >= 0.1) & (x_grid.nodes <= 0.9)
     weight_sum = float(x_grid.weights[interior].sum())
-    plugin_cfg = TirConfig(lam=cfg.lambdas[0], mode="sampled")
     m = cfg.sample_size
 
     def interior_error(phi_hat: GridFunction) -> float:
@@ -413,7 +408,7 @@ def run_montecarlo(cfg: ExperimentConfig) -> ResultTable:
     for i in range(cfg.replications):
         draws = sample(dgp, m, cfg.seed + i)
         try:
-            op, r_hat = sampled_plugin(draws, plugin_cfg, x_grid, z_grid)
+            op, r_hat = sampled_plugin(draws, x_grid, z_grid)
         except DegenerateSampleError:
             rows.extend(
                 ("replication", i, m, lam, name, float("nan"), "degenerate")
@@ -528,33 +523,13 @@ def load_csv(path):
     return metadata, tuple(table[0]), [tuple(r) for r in table[1:]]
 
 
-_CONFIG_KEYS = (
-    "experiment",
-    "dgp",
-    "quadrature_size",
-    "inspection_size",
-    "z_size",
-    "family",
-    "n_max",
-    "epsilon",
-    "ball_radius",
-    "lambdas",
-    "constraints",
-    "replications",
-    "sample_size",
-    "seed",
-    "out",
-)
-
-_DGP_KEYS = ("phi0", "rho", "noise_sd", "independent_case", "phi0_table")
-
-
 def config_from_mapping(raw: dict) -> ExperimentConfig:
     """Build a validated config from parsed JSON, rejecting unknown keys."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    keys = {f.name for f in fields(ExperimentConfig)}
     for key in raw:
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise ConfigError(f"unknown config key {key!r}")
     kwargs = dict(raw)
     dgp_raw = kwargs.pop("dgp", None)
@@ -563,14 +538,10 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
     elif isinstance(dgp_raw, DgpSpec):
         dgp = dgp_raw
     elif isinstance(dgp_raw, dict):
+        dgp_keys = {f.name for f in fields(DgpSpec)}
         for key in dgp_raw:
-            if key not in _DGP_KEYS:
+            if key not in dgp_keys:
                 raise ConfigError(f"unknown dgp config key {key!r}")
-        if "phi0_table" in dgp_raw and dgp_raw["phi0_table"] is not None:
-            dgp_raw = dict(dgp_raw)
-            dgp_raw["phi0_table"] = tuple(
-                (float(x), float(y)) for x, y in dgp_raw["phi0_table"]
-            )
         try:
             dgp = DgpSpec(**dgp_raw)
         except (TypeError, ValueError) as exc:

@@ -102,6 +102,13 @@ def test_negative_seed_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_non_finite_config_value_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "nan.json"
+    cfg_path.write_text('{"experiment": "illposedness_demo", "epsilon": NaN}')
+    assert cli.main(["demo", "--config", str(cfg_path)]) == 2
+    assert "epsilon must be a finite number" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert cli.main(["svd", "--config", str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err

@@ -92,6 +92,14 @@ def test_spec_validation():
         DgpSpec(phi0="custom", phi0_table=((0.5, 1.0), (0.2, 0.0)))
 
 
+def test_phi0_table_is_stored_as_float_pairs():
+    spec = DgpSpec(phi0="custom", phi0_table=[[0, 1], ["0.5", 2]])
+    assert spec.phi0_table == ((0.0, 1.0), (0.5, 2.0))
+    assert all(type(v) is float for pair in spec.phi0_table for v in pair)
+    with pytest.raises(ValueError, match="pairs"):
+        DgpSpec(phi0="custom", phi0_table=[[0, 1, 2], [1, 2]])
+
+
 def test_phi0_choices():
     x = np.linspace(0.0, 1.0, 9)
     assert np.allclose(phi0_callable(DgpSpec(phi0="square"))(x), x**2)

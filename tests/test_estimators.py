@@ -95,22 +95,16 @@ class TestTir:
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-10)
 
-    def test_rejects_zero_lambda_and_sampled_mode(self, problem):
+    def test_rejects_zero_lambda(self, problem):
         _, _, A, _, r = problem
         with pytest.raises(ValueError):
             tir_estimate(A, r, TirConfig(lam=0.0))
-        with pytest.raises(ValueError):
-            tir_estimate(A, r, TirConfig(lam=1e-4, mode="sampled"))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TirConfig(lam=-1.0)
         with pytest.raises(ValueError):
             TirConfig(penalty="ridge")
-        with pytest.raises(ValueError):
-            TirConfig(mode="bootstrap")
-        with pytest.raises(ValueError):
-            TirConfig(mode="sampled", h_x=-0.1)
 
 
 class TestNaive:
@@ -255,7 +249,7 @@ class TestSampledPlugin:
         s = sample(dgp, 10_000, seed=11)
         x_grid = make_grid(64)
         z_grid = make_grid(128, rule="uniform_trapezoid")
-        A_hat, r_hat = sampled_plugin(s, TirConfig(mode="sampled"), x_grid, z_grid)
+        A_hat, r_hat = sampled_plugin(s, x_grid, z_grid)
         interior = (z_grid.nodes >= 0.1) & (z_grid.nodes <= 0.9)
         assert np.abs(r_hat.values[interior] - 1.0 / 3.0).max() < 0.05
         assert not np.any(A_hat.flagged_z)
@@ -267,7 +261,7 @@ class TestSampledPlugin:
         errs = []
         for m in (1_000, 10_000):
             s = sample(dgp, m, seed=11)
-            _, r_hat = sampled_plugin(s, TirConfig(mode="sampled"), x_grid, z_grid)
+            _, r_hat = sampled_plugin(s, x_grid, z_grid)
             interior = (z_grid.nodes >= 0.1) & (z_grid.nodes <= 0.9)
             errs.append(np.abs(r_hat.values[interior] - 1.0 / 3.0).max())
         assert errs[1] < errs[0]
@@ -276,7 +270,7 @@ class TestSampledPlugin:
         dgp = make_dgp(DgpSpec(rho=0.5))
         s = sample(dgp, 2_000, seed=3)
         A_hat, _ = sampled_plugin(
-            s, TirConfig(mode="sampled"), make_grid(64), make_grid(64, rule="uniform_trapezoid")
+            s, make_grid(64), make_grid(64, rule="uniform_trapezoid")
         )
         assert np.abs(A_hat.kernel_matrix.sum(axis=1) - 1.0).max() < 1e-9
 
@@ -285,9 +279,7 @@ class TestSampledPlugin:
         s = sample(dgp, 2_000, seed=3)
         squeezed = Sample(x=s.x, y=s.y, z=s.z * 0.7, seed=s.seed)
         z_grid = make_grid(128, rule="uniform_trapezoid")
-        A_hat, _ = sampled_plugin(
-            squeezed, TirConfig(mode="sampled"), make_grid(64), z_grid
-        )
+        A_hat, _ = sampled_plugin(squeezed, make_grid(64), z_grid)
         assert np.count_nonzero(A_hat.flagged_z) > 0
         assert np.all(A_hat.fz_weights[A_hat.flagged_z] == 0.0)
 
@@ -296,9 +288,7 @@ class TestSampledPlugin:
         s = sample(dgp, 200, seed=0)
         flat = Sample(x=s.x, y=s.y, z=np.full_like(s.z, 0.5), seed=s.seed)
         with pytest.raises(DegenerateSampleError):
-            sampled_plugin(
-                flat, TirConfig(mode="sampled"), make_grid(32), make_grid(32)
-            )
+            sampled_plugin(flat, make_grid(32), make_grid(32))
 
     def test_tightly_clustered_instrument_is_degenerate(self):
         dgp = make_dgp(DgpSpec(rho=0.5))
@@ -308,15 +298,12 @@ class TestSampledPlugin:
             x=s.x, y=s.y, z=0.5 + 1e-9 * rng.standard_normal(200), seed=s.seed
         )
         with pytest.raises(DegenerateSampleError):
-            sampled_plugin(
-                clustered, TirConfig(mode="sampled"), make_grid(32), make_grid(32)
-            )
+            sampled_plugin(clustered, make_grid(32), make_grid(32))
 
     def test_explicit_bandwidths(self):
         dgp = make_dgp(DgpSpec(independent_case=True))
         s = sample(dgp, 500, seed=2)
-        cfg = TirConfig(mode="sampled", h_x=0.1, h_z=0.1)
-        A_hat, r_hat = sampled_plugin(s, cfg, make_grid(32), make_grid(32))
+        A_hat, r_hat = sampled_plugin(s, make_grid(32), make_grid(32), h_x=0.1, h_z=0.1)
         assert np.abs(A_hat.kernel_matrix.sum(axis=1) - 1.0).max() < 1e-9
         assert np.all(np.isfinite(r_hat.values))
 
@@ -324,10 +311,11 @@ class TestSampledPlugin:
         dgp = make_dgp(DgpSpec(rho=0.5))
         s = sample(dgp, 49, seed=0)
         with pytest.raises(ValueError):
-            sampled_plugin(s, TirConfig(mode="sampled"), make_grid(32), make_grid(32))
+            sampled_plugin(s, make_grid(32), make_grid(32))
         big = sample(dgp, 100, seed=0)
-        with pytest.raises(ValueError):
-            sampled_plugin(big, TirConfig(mode="population"), make_grid(32), make_grid(32))
+        for h in ({"h_x": -0.1}, {"h_z": 0.0}):
+            with pytest.raises(ValueError, match="bandwidths must be positive"):
+                sampled_plugin(big, make_grid(32), make_grid(32), **h)
 
 
 @pytest.fixture(scope="module")

@@ -102,8 +102,16 @@ class TestConfigValidation:
     def test_derivative_sign_constraints_parse(self):
         c = parse_constraint("derivative_sign_3")
         assert c.kind == "derivative_sign" and c.order == 3
-        with pytest.raises(ConfigError):
-            parse_constraint("derivative_sign_0")
+        for bad in ("derivative_sign_0", "derivative_sign", "convex_1", 3):
+            with pytest.raises(ConfigError):
+                parse_constraint(bad)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["nonnegative", "monotone_nondecreasing", "convex", "derivative_sign_3"],
+    )
+    def test_constraint_names_round_trip(self, name):
+        assert parse_constraint(name).name == name
 
     def test_wrong_experiment_for_runner(self):
         with pytest.raises(ConfigError, match="config is for experiment"):
@@ -335,10 +343,10 @@ class TestMontecarlo:
         real = harness_mod.sampled_plugin
         cfg = mc_config(replications=3, sample_size=500)
 
-        def flaky(draws, plugin_cfg, x_grid, z_grid):
+        def flaky(draws, x_grid, z_grid):
             if draws.seed == cfg.seed + 1:
                 raise DegenerateSampleError("synthetic degenerate draw")
-            return real(draws, plugin_cfg, x_grid, z_grid)
+            return real(draws, x_grid, z_grid)
 
         monkeypatch.setattr(harness_mod, "sampled_plugin", flaky)
         table = run_montecarlo(cfg)
@@ -480,6 +488,57 @@ class TestCsv:
         with pytest.raises(ValueError, match="row length"):
             ResultTable(columns=("a", "b"), rows=[(1,)], metadata={})
 
+    def test_metadata_lines_match_the_recorded_block(self, tmp_path):
+        # Every '#' line but the timestamp, byte for byte, as emitted for
+        # this config since artifact version 0.1.0.
+        expected = (
+            b"# artifact_version = 0.1.0\r\n"
+            b"# experiment = estimator_comparison\r\n"
+            b"# phi0 = custom\r\n"
+            b"# rho = 0.29999999999999999\r\n"
+            b"# noise_sd = 0.25\r\n"
+            b"# independent_case = false\r\n"
+            b"# phi0_table = 0:0.5;0.40000000000000002:0.10000000000000001;"
+            b"1:0.33333333333333331\r\n"
+            b"# quadrature_size = 16\r\n"
+            b"# inspection_size = 64\r\n"
+            b"# z_size = 12\r\n"
+            b"# family = monotone\r\n"
+            b"# n_max = 2\r\n"
+            b"# epsilon = 0.10000000000000001\r\n"
+            b"# ball_radius = 0.5\r\n"
+            b"# lambdas = 0.0001;0.01\r\n"
+            b"# constraints = monotone_nondecreasing;derivative_sign_2\r\n"
+            b"# replications = 1\r\n"
+            b"# sample_size = 10000\r\n"
+            b"# seed = 7\r\n"
+            b"# out = pinned.csv\r\n"
+        )
+        raw = {
+            "experiment": "estimator_comparison",
+            "dgp": {
+                "phi0": "custom",
+                "rho": 0.3,
+                "noise_sd": 0.25,
+                "phi0_table": [[0, 0.5], [0.4, 0.1], [1, 1.0 / 3.0]],
+            },
+            "quadrature_size": 16,
+            "inspection_size": 64,
+            "z_size": 12,
+            "n_max": 2,
+            "epsilon": 0.1,
+            "lambdas": [1e-4, 0.01],
+            "constraints": ["monotone_nondecreasing", "derivative_sign_2"],
+            "seed": 7,
+            "out": "pinned.csv",
+        }
+        path = tmp_path / "table.csv"
+        emit_csv(run_experiment(config_from_mapping(raw)), path)
+        with open(path, "rb") as handle:
+            lines = [line for line in handle if line.startswith(b"#")]
+        assert lines[-1].startswith(b"# timestamp = ")
+        assert b"".join(lines[:-1]) == expected
+
 
 class TestConfigLoading:
     def test_mapping_round_trip(self):
@@ -534,6 +593,46 @@ class TestConfigLoading:
     def test_counts_and_seed_must_be_nonnegative_integers(self, key, value, fragment):
         with pytest.raises(ConfigError, match=fragment):
             config_from_mapping({"experiment": "montecarlo", key: value})
+
+    @pytest.mark.parametrize(
+        "payload, fragment",
+        [
+            ('"epsilon": NaN', "epsilon must be a finite number"),
+            ('"ball_radius": NaN', "ball_radius must be a finite number"),
+            ('"ball_radius": Infinity', "ball_radius must be a finite number"),
+            ('"dgp": {"noise_sd": NaN}', "noise_sd must be a finite number"),
+            ('"lambdas": [Infinity]', "lambda values must be positive and finite"),
+            ('"lambdas": [1e-4, NaN]', "lambda values must be positive and finite"),
+            ('"lambdas": [true]', "lambda values must be positive and finite"),
+            ('"lambdas": ["0.5"]', "lambda values must be positive and finite"),
+            ('"epsilon": true', "epsilon must be a finite number"),
+            ('"ball_radius": "0.5"', "ball_radius must be a finite number"),
+            ('"dgp": {"independent_case": "yes"}', "independent_case must be true or"),
+            ('"dgp": {"independent_case": 1}', "independent_case must be true or"),
+            ('"dgp": {"independent_case": null}', "independent_case must be true or"),
+        ],
+    )
+    def test_floats_must_be_finite_and_booleans_boolean(self, payload, fragment):
+        raw = json.loads('{"experiment": "estimator_comparison", %s}' % payload)
+        with pytest.raises(ConfigError, match=fragment):
+            config_from_mapping(raw)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [[0, 1, 2], [1, 2]],
+            [["a", 1], [1, 2]],
+            5,
+            [[0, 1], [1, float("nan")]],
+        ],
+    )
+    def test_malformed_phi0_table_rejected(self, table):
+        raw = {
+            "experiment": "illposedness_demo",
+            "dgp": {"phi0": "custom", "phi0_table": table},
+        }
+        with pytest.raises(ConfigError, match="phi0_table"):
+            config_from_mapping(raw)
 
     def test_load_config_happy_path(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -13,7 +13,7 @@ from npivlab.counterexamples import (
     psi,
 )
 from npivlab.dgp import DgpSpec, make_dgp, phi0_on_grid, sample
-from npivlab.estimators import TirConfig, sampled_plugin
+from npivlab.estimators import sampled_plugin
 from npivlab.function_space import GridFunction, GridMismatchError, l2_norm, make_grid
 from npivlab.operators import (
     SVD_TRUNCATION_RTOL,
@@ -342,10 +342,7 @@ class TestFactorizationCache:
         population = discretize(dgp, make_grid(64), make_grid(64))
         draws = sample(dgp, 2_000, seed=3)
         plugin, _ = sampled_plugin(
-            draws,
-            TirConfig(mode="sampled"),
-            make_grid(64),
-            make_grid(64, rule="uniform_trapezoid"),
+            draws, make_grid(64), make_grid(64, rule="uniform_trapezoid")
         )
         return {"discretized": population, "sampled_plugin": plugin}
 
