@@ -38,7 +38,6 @@ from .estimators import (
     DegenerateSampleError,
     EstimateResult,
     NumericalError,
-    TirConfig,
     constrained_estimate,
     naive_estimate,
     sampled_plugin,

@@ -46,6 +46,8 @@ class DgpSpec:
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be nonnegative")
         if self.phi0_table is not None:
+            if self.phi0 != "custom":
+                raise ValueError(f"phi0_table needs phi0 = 'custom', got {self.phi0!r}")
             try:
                 table = tuple((float(x), float(y)) for x, y in self.phi0_table)
             except (TypeError, ValueError) as exc:

@@ -2,9 +2,9 @@
 
 Four routes are implemented on top of the discretized operator:
 
-  * tir_estimate: Tikhonov-regularized least squares with an identity or
-    first-order Sobolev penalty, solved by the normal equations. Stable,
-    with amplification bounded by 1/(2 sqrt(lambda)).
+  * tir_estimate: Tikhonov-regularized least squares with the first-order
+    Sobolev penalty, solved by the normal equations. Stable, with
+    amplification bounded by 1/(2 sqrt(lambda)).
   * naive_estimate: minimum-norm least squares through a truncated SVD at
     machine tolerance. Faithful to the data and catastrophically unstable,
     since retained singular values reach the truncation floor.
@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import nnls
 
+from .counterexamples import MONOTONE, CounterexampleSpec, psi
 from .function_space import (
     Grid,
     GridFunction,
@@ -47,6 +48,9 @@ from .operators import (
 
 QP_MAX_ITERATIONS = 2000
 
+# Perturbation index whose image stability_probe uses as a direction.
+PROBE_PSI_INDEX = 50
+
 
 class NumericalError(RuntimeError):
     """A solve failed for numerical reasons."""
@@ -58,30 +62,12 @@ class DegenerateSampleError(NumericalError):
 
 
 @dataclass(frozen=True)
-class TirConfig:
-    """Regularization weight and penalty form.
-
-    lam >= 0; the Tikhonov solver itself requires lam > 0, while the
-    constrained solver accepts lam = 0 to probe what constraints alone
-    achieve.
-    """
-
-    lam: float = 1e-4
-    penalty: str = "sobolev_first_order"
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if self.penalty not in ("sobolev_first_order", "l2_only"):
-            raise ValueError(f"unknown penalty {self.penalty!r}")
-
-
-@dataclass(frozen=True)
 class ConstraintSet:
     """Shape constraints enforced as linear inequalities on grid values.
 
     Each constraint contributes the rows of an m-th order difference matrix
-    applied to the estimate's values on the inspection grid.
+    applied to the estimate's values on the inspection grid, which must
+    hold at least m + 2 nodes.
     """
 
     constraints: tuple
@@ -92,10 +78,11 @@ class ConstraintSet:
         for c in self.constraints:
             if not isinstance(c, ShapeConstraint):
                 raise ValueError("constraints must be ShapeConstraint instances")
-
-    def row_counts(self) -> list[int]:
-        n = self.inspection_grid.size
-        return [n - c.difference_order for c in self.constraints]
+            if self.inspection_grid.size < c.difference_order + 2:
+                raise ValueError(
+                    f"inspection grid of size {self.inspection_grid.size} is "
+                    f"too small for constraint {c.name!r}"
+                )
 
     def matrix_on_values(self, x_grid: Grid) -> np.ndarray:
         """Stacked inequality rows acting on values at x_grid nodes."""
@@ -104,11 +91,7 @@ class ConstraintSet:
         for c in self.constraints:
             m = c.difference_order
             blocks.append(np.diff(R, n=m, axis=0) if m > 0 else R)
-        G = np.vstack(blocks) if blocks else np.zeros((0, x_grid.size))
-        expected = sum(self.row_counts())
-        if G.shape[0] != expected:
-            raise NumericalError("constraint encoding lost rows")
-        return G
+        return np.vstack(blocks) if blocks else np.zeros((0, x_grid.size))
 
 
 @dataclass(frozen=True)
@@ -140,21 +123,19 @@ def _derivative_form(A: DiscreteOperator) -> np.ndarray:
     return (sw[:, None] * D) / sw[None, :]
 
 
-def tir_estimate(A: DiscreteOperator, r: GridFunction, cfg: TirConfig) -> EstimateResult:
-    """Tikhonov-regularized solve via the normal equations.
+def tir_estimate(A: DiscreteOperator, r: GridFunction, lam: float) -> EstimateResult:
+    """Tikhonov-regularized solve via the normal equations, 0 < lam < inf.
 
-    Minimizes ||A phi - r||^2 (fz-weighted) + lam * penalty(phi)^2. With the
-    Sobolev penalty the system matrix is M^T M + lam (I + F^T F), symmetric
-    positive definite with smallest eigenvalue at least lam.
+    Minimizes ||A phi - r||^2 (fz-weighted) + lam * ||phi||_{H^1}^2, the
+    first-order Sobolev penalty. The system matrix M^T M + lam (I + F^T F)
+    is symmetric positive definite with smallest eigenvalue at least lam.
     """
-    if cfg.lam <= 0:
-        raise ValueError("tir_estimate requires lam > 0")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"tir_estimate requires 0 < lam < inf, got {lam!r}")
     M, sw, rt = _weighted_system(A, r)
     n = M.shape[1]
-    H = M.T @ M + cfg.lam * np.eye(n)
-    if cfg.penalty == "sobolev_first_order":
-        F = _derivative_form(A)
-        H = H + cfg.lam * (F.T @ F)
+    F = _derivative_form(A)
+    H = M.T @ M + lam * np.eye(n) + lam * (F.T @ F)
     b = M.T @ rt
     try:
         u = np.linalg.solve(H, b)
@@ -162,34 +143,21 @@ def tir_estimate(A: DiscreteOperator, r: GridFunction, cfg: TirConfig) -> Estima
         raise NumericalError(f"normal equations solve failed: {exc}") from exc
     kkt = float(np.linalg.norm(H @ u - b))
     fit = float(np.linalg.norm(M @ u - rt) ** 2)
-    pen = float(u @ u)
-    if cfg.penalty == "sobolev_first_order":
-        pen += float(np.linalg.norm(F @ u) ** 2)
-    # H depends on the operator, lam and the penalty only, not on r.
+    pen = float(u @ u) + float(np.linalg.norm(F @ u) ** 2)
+    # H depends on the operator and lam only, not on r.
     smallest_eig = A.memo(
-        ("tir_eigenvalue_floor", cfg.lam, cfg.penalty),
+        ("tir_eigenvalue_floor", lam),
         lambda: float(np.linalg.eigvalsh(H)[0]),
     )
     return EstimateResult(
         phi_hat=GridFunction(A.x_grid, u / sw),
-        objective=fit + cfg.lam * pen,
-        lambda_used=cfg.lam,
+        objective=fit + lam * pen,
+        lambda_used=lam,
         kkt_residual=kkt,
         constraint_verdicts={},
         condition_diagnostic=smallest_eig,
         solver="tir",
     )
-
-
-def tir_penalty_value(A: DiscreteOperator, result: EstimateResult, cfg: TirConfig) -> float:
-    """Penalty functional evaluated at an estimate (for path diagnostics)."""
-    sw = np.sqrt(A.x_grid.weights)
-    u = sw * result.phi_hat.values
-    pen = float(u @ u)
-    if cfg.penalty == "sobolev_first_order":
-        F = _derivative_form(A)
-        pen += float(np.linalg.norm(F @ u) ** 2)
-    return pen
 
 
 def naive_estimate(A: DiscreteOperator, r: GridFunction) -> EstimateResult:
@@ -230,7 +198,8 @@ def _restricted_multipliers(Acon: np.ndarray, grad: np.ndarray, slack: np.ndarra
     if active.any():
         try:
             mu_a, _ = nnls(Acon[active].T, grad, maxiter=max(600, 3 * Acon.shape[1] * 10))
-        except Exception:
+        except RuntimeError:
+            # scipy's nnls reports its iteration cap this way
             mu_a = np.zeros(int(active.sum()))
         mu[np.nonzero(active)[0]] = mu_a
     return mu
@@ -348,33 +317,28 @@ def _qp_certificate(S, d, Acon, y, mu):
 def constrained_estimate(
     A: DiscreteOperator,
     r: GridFunction,
-    cfg: TirConfig,
+    lam: float,
     constraints: ConstraintSet,
     maxit: int = QP_MAX_ITERATIONS,
 ) -> EstimateResult:
     """Least-squares solve under shape inequalities, with a KKT certificate.
 
-    Minimizes the same objective as tir_estimate (with lam = 0 reducing to
-    the plain data-fit objective) subject to the constraint rows evaluated
+    Minimizes the same objective as tir_estimate for 0 <= lam < inf (lam = 0
+    reduces it to the plain data fit) subject to the constraint rows evaluated
     on the inspection grid. The problem is projected onto the singular
     subspace retained at the truncation tolerance; within that subspace the
     active-set solver returns a certified optimum or, if the iteration cap
     is hit, the best iterate found with converged = False and the honest
     residual.
     """
-    if cfg.lam < 0:
-        raise ValueError("constrained_estimate requires lam >= 0")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"constrained_estimate requires 0 <= lam < inf, got {lam!r}")
     M, sw, rt = _weighted_system(A, r)
     n = M.shape[1]
-    if cfg.lam > 0:
-        root = math.sqrt(cfg.lam)
-        blocks = [M, root * np.eye(n)]
-        rhs = [rt, np.zeros(n)]
-        if cfg.penalty == "sobolev_first_order":
-            blocks.append(root * _derivative_form(A))
-            rhs.append(np.zeros(n))
-        B = np.vstack(blocks)
-        b = np.concatenate(rhs)
+    if lam > 0:
+        root = math.sqrt(lam)
+        B = np.vstack([M, root * np.eye(n), root * _derivative_form(A)])
+        b = np.concatenate([rt, np.zeros(2 * n)])
         U, s, Vt = np.linalg.svd(B, full_matrices=False)
         J = _truncation_rank(s)
     else:
@@ -391,7 +355,7 @@ def constrained_estimate(
         return EstimateResult(
             phi_hat=phi,
             objective=float(b @ b),
-            lambda_used=cfg.lam,
+            lambda_used=lam,
             kkt_residual=0.0,
             constraint_verdicts=verdicts,
             condition_diagnostic=0.0,
@@ -413,7 +377,7 @@ def constrained_estimate(
     return EstimateResult(
         phi_hat=phi,
         objective=float(np.linalg.norm(B @ u - b) ** 2),
-        lambda_used=cfg.lam,
+        lambda_used=lam,
         kkt_residual=kkt,
         constraint_verdicts=verdicts,
         condition_diagnostic=float(Sj[-1]),
@@ -479,16 +443,15 @@ def sampled_plugin(sample, x_grid: Grid, z_grid: Grid, h_x=None, h_z=None):
     return op, GridFunction(z_grid, r_hat)
 
 
-def _probe_directions(A: DiscreteOperator, psi_index: int = 50):
-    from .counterexamples import MONOTONE, CounterexampleSpec, psi as psi_fn
-
+def _probe_directions(A: DiscreteOperator):
     fzw = A.fz_weights
     f = A.svd
     sqrt_fzw = np.sqrt(fzw)
     inv = np.where(sqrt_fzw > 0, 1.0 / np.where(sqrt_fzw > 0, sqrt_fzw, 1.0), 0.0)
     worst = f.U[:, max(f.rank, 1) - 1] * inv
 
-    image = apply(A, psi_fn(CounterexampleSpec(MONOTONE, psi_index), A.x_grid)).values
+    direction = psi(CounterexampleSpec(MONOTONE, PROBE_PSI_INDEX), A.x_grid)
+    image = apply(A, direction).values
     noise = np.random.default_rng(0).standard_normal(A.z_grid.size)
 
     def fz_normalize(v):
@@ -506,7 +469,7 @@ def stability_probe(
     A: DiscreteOperator,
     r: GridFunction,
     deltas,
-    cfg: TirConfig,
+    lam: float,
 ) -> list:
     """Amplification table ||phi_hat(r + delta v) - phi_hat(r)|| / delta.
 
@@ -514,16 +477,16 @@ def stability_probe(
     singular value, the image of a high-index perturbation sequence member,
     and seeded white noise, each normalized in the fz-weighted norm. Rows
     cover the naive, Tikhonov, and constrained solvers. Tikhonov rows obey
-    the operator-norm bound 1/(2 sqrt(lam)).
+    the operator-norm bound 1/(2 sqrt(lam)), so 0 < lam < inf is required.
     """
-    if cfg.lam <= 0:
-        raise ValueError("stability_probe requires lam > 0 for the Tikhonov rows")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"stability_probe requires 0 < lam < inf, got {lam!r}")
     directions = _probe_directions(A)
     cset = ConstraintSet(constraints=(ShapeConstraint("monotone_nondecreasing"),))
     solvers = {
         "naive": lambda rr: naive_estimate(A, rr),
-        "tir": lambda rr: tir_estimate(A, rr, cfg),
-        "constrained": lambda rr: constrained_estimate(A, rr, cfg, cset),
+        "tir": lambda rr: tir_estimate(A, rr, lam),
+        "constrained": lambda rr: constrained_estimate(A, rr, lam, cset),
     }
     base = {name: solve(r) for name, solve in solvers.items()}
     rows = []

@@ -38,7 +38,6 @@ from .dgp import DgpSpec, make_dgp, phi0_on_grid, sample
 from .estimators import (
     ConstraintSet,
     DegenerateSampleError,
-    TirConfig,
     constrained_estimate,
     naive_estimate,
     sampled_plugin,
@@ -170,7 +169,12 @@ class ExperimentConfig:
             )
         object.__setattr__(self, "lambdas", tuple(map(float, self.lambdas)))
         for name in self.constraints:
-            parse_constraint(name)
+            needed = parse_constraint(name).difference_order + 2
+            if self.inspection_size < needed:
+                raise ConfigError(
+                    f"inspection_size must be at least {needed} for constraint "
+                    f"{name!r}, got {self.inspection_size}"
+                )
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
         if self.experiment == "montecarlo" and self.sample_size < 50:
@@ -324,17 +328,11 @@ def run_estimator_comparison(cfg: ExperimentConfig) -> ResultTable:
             bool(check_shape(result.phi_hat, c, inspection)) for c in cset.constraints
         )
 
-    solvers = [
-        ("naive", 0.0, lambda rr: naive_estimate(A, rr)),
-    ]
+    solvers = [("naive", 0.0, lambda rr: naive_estimate(A, rr))]
     for lam in cfg.lambdas:
-        tir_cfg = TirConfig(lam=lam)
-        solvers.append(
-            ("tir", lam, lambda rr, c=tir_cfg: tir_estimate(A, rr, c))
-        )
-    zero_cfg = TirConfig(lam=0.0)
+        solvers.append(("tir", lam, lambda rr, lam=lam: tir_estimate(A, rr, lam)))
     solvers.append(
-        ("constrained", 0.0, lambda rr: constrained_estimate(A, rr, zero_cfg, cset))
+        ("constrained", 0.0, lambda rr: constrained_estimate(A, rr, 0.0, cset))
     )
     baselines = {
         (name, lam): solve(r).phi_hat.values for name, lam, solve in solvers
@@ -419,7 +417,7 @@ def run_montecarlo(cfg: ExperimentConfig) -> ResultTable:
             if name == "naive":
                 est = naive_estimate(op, r_hat)
             else:
-                est = tir_estimate(op, r_hat, TirConfig(lam=lam))
+                est = tir_estimate(op, r_hat, lam)
             rows.append(
                 ("replication", i, m, lam, name, interior_error(est.phi_hat), "ok")
             )

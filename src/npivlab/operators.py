@@ -102,22 +102,12 @@ class DiscreteOperator:
             return self._cache.setdefault(key, build())
 
     @property
-    def weighted(self) -> np.ndarray:
-        """The weighted matrix of `weighted_matrix`, shared and read-only."""
-        return self.memo("weighted", self._build_weighted)
-
-    @property
     def svd(self) -> TruncatedSvd:
         """Truncated thin SVD of the weighted matrix, shared and read-only."""
         return self.memo("svd", self._build_svd)
 
-    def _build_weighted(self) -> np.ndarray:
-        sz = np.sqrt(self.fz_weights)
-        sx = np.sqrt(self.x_grid.weights)
-        return _read_only(sz[:, None] * self.kernel_matrix / sx[None, :])
-
     def _build_svd(self) -> TruncatedSvd:
-        U, s, Vt = np.linalg.svd(self.weighted, full_matrices=False)
+        U, s, Vt = np.linalg.svd(weighted_matrix(self), full_matrices=False)
         J = _truncation_rank(s)
         # Copies of the retained block only, so the full factors can go.
         k = max(J, 1)
@@ -134,7 +124,6 @@ class SvdReport:
     singular_values: np.ndarray
     numerical_rank: int
     decay_fit: float
-    rank_tolerance: float
 
 
 def discretize(dgp, x_grid: Grid, z_grid: Grid) -> DiscreteOperator:
@@ -187,27 +176,29 @@ def weighted_matrix(A: DiscreteOperator) -> np.ndarray:
     The matrix is built once per operator and shared by every caller. It is
     read-only: copy it before writing into it.
     """
-    return A.weighted
+
+    def build():
+        sz = np.sqrt(A.fz_weights)
+        sx = np.sqrt(A.x_grid.weights)
+        return _read_only(sz[:, None] * A.kernel_matrix / sx[None, :])
+
+    return A.memo("weighted", build)
 
 
-def svd_report(A: DiscreteOperator, rank_tolerance: float = 1e-12) -> SvdReport:
+def svd_report(A: DiscreteOperator) -> SvdReport:
     """Singular values of the weighted operator plus decay diagnostics.
 
-    decay_fit is the least-squares slope of log sigma_k against k over the
-    values above 1e-14 * sigma_1 (the part of the spectrum not drowned in
-    rounding).
+    numerical_rank counts the values above SVD_TRUNCATION_RTOL times the
+    largest, the rank every solver truncates at. decay_fit is the
+    least-squares slope of log sigma_k against k over the values above
+    1e-14 * sigma_1 (the part of the spectrum not drowned in rounding).
     """
     s = np.linalg.svd(weighted_matrix(A), compute_uv=False)
-    rank = int(np.sum(s > rank_tolerance * s[0])) if s.size and s[0] > 0 else 0
+    rank = _truncation_rank(s)
     positive = s > (1e-14 * s[0] if s.size and s[0] > 0 else 0.0)
     if positive.sum() >= 2:
         k = np.arange(1, s.size + 1)[positive]
         slope = float(np.polyfit(k, np.log(s[positive]), 1)[0])
     else:
         slope = float("nan")
-    return SvdReport(
-        singular_values=s,
-        numerical_rank=rank,
-        decay_fit=slope,
-        rank_tolerance=rank_tolerance,
-    )
+    return SvdReport(singular_values=s, numerical_rank=rank, decay_fit=slope)

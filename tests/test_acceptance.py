@@ -24,7 +24,6 @@ from npivlab.counterexamples import (
 from npivlab.dgp import DgpSpec, make_dgp, phi0_on_grid
 from npivlab.estimators import (
     ConstraintSet,
-    TirConfig,
     constrained_estimate,
     stability_probe,
 )
@@ -85,7 +84,7 @@ def constrained_solves():
     for n in COMPARISON_N_VALUES:
         shift = EPS * apply(A, psi(CounterexampleSpec(MONOTONE, n), x)).values
         r_n = GridFunction(z, r.values + shift)
-        solves[n] = constrained_estimate(A, r_n, TirConfig(lam=0.0), cset)
+        solves[n] = constrained_estimate(A, r_n, 0.0, cset)
     return x, z, A, phi0, r, solves
 
 
@@ -177,7 +176,7 @@ def test_criterion_6_regularization_contrast(constrained_solves):
         err = l2_norm(GridFunction(x, solves[n].phi_hat.values - phi0.values))
         floor_detail.append(f"n={n}: {err:.4f}")
         floor_ok = floor_ok and err >= 0.5 * EPS
-    probe = stability_probe(A, r, [1e-6], TirConfig(lam=1e-4))
+    probe = stability_probe(A, r, [1e-6], 1e-4)
     bound = 1.0 / (2.0 * math.sqrt(1e-4))
     tir_rows = [row for row in probe if row["solver"] == "tir"]
     amp = max(row["amplification"] for row in tir_rows)

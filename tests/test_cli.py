@@ -109,6 +109,21 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys):
     assert "epsilon must be a finite number" in capsys.readouterr().err
 
 
+def test_inspection_grid_too_small_for_a_constraint_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "small.json"
+    cfg_path.write_text(
+        json.dumps(
+            {
+                "experiment": "estimator_comparison",
+                "inspection_size": 4,
+                "constraints": ["derivative_sign_5"],
+            }
+        )
+    )
+    assert cli.main(["compare", "--config", str(cfg_path)]) == 2
+    assert "inspection_size must be at least 7" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert cli.main(["svd", "--config", str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err

@@ -4,26 +4,27 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import npivlab.estimators as estimators
 from npivlab.counterexamples import MONOTONE, CounterexampleSpec, psi
 from npivlab.dgp import DgpSpec, Sample, make_dgp, phi0_on_grid, sample
 from npivlab.estimators import (
     ConstraintSet,
     DegenerateSampleError,
-    TirConfig,
     _derivative_form,
     constrained_estimate,
     naive_estimate,
     sampled_plugin,
     stability_probe,
     tir_estimate,
-    tir_penalty_value,
 )
 from npivlab.function_space import (
+    UNIFORM_TRAPEZOID,
     GridFunction,
     ShapeConstraint,
     check_shape,
     l2_norm,
     make_grid,
+    sobolev_norm,
 )
 from npivlab.operators import apply, discretize, svd_report, weighted_matrix
 
@@ -56,55 +57,42 @@ MONOTONE_SET = ConstraintSet(constraints=(ShapeConstraint("monotone_nondecreasin
 class TestTir:
     def test_small_lambda_recovers_truth(self, problem):
         x, _, A, phi0, r = problem
-        result = tir_estimate(A, r, TirConfig(lam=1e-8))
+        result = tir_estimate(A, r, 1e-8)
         err = l2_norm(GridFunction(x, result.phi_hat.values - phi0.values))
         assert err < 1e-2
 
     def test_huge_lambda_shrinks_to_zero(self, problem):
         _, _, A, _, r = problem
-        result = tir_estimate(A, r, TirConfig(lam=1e6))
+        result = tir_estimate(A, r, 1e6)
         assert l2_norm(result.phi_hat) < 1e-3
 
     def test_zero_data_gives_zero_exactly(self, problem):
         x, z, A, _, _ = problem
-        result = tir_estimate(A, GridFunction(z, np.zeros(64)), TirConfig(lam=1e-4))
+        result = tir_estimate(A, GridFunction(z, np.zeros(64)), 1e-4)
         assert np.all(result.phi_hat.values == 0.0)
 
     def test_system_is_positive_definite(self, problem):
         _, _, A, _, r = problem
         for lam in (1e-6, 1e-3, 1.0):
-            result = tir_estimate(A, r, TirConfig(lam=lam))
+            result = tir_estimate(A, r, lam)
             assert result.condition_diagnostic >= lam * (1 - 1e-9)
             assert result.kkt_residual < 1e-8
             assert result.lambda_used == lam
             assert result.objective >= 0.0
-
-    def test_l2_only_penalty(self, problem):
-        x, _, A, phi0, r = problem
-        result = tir_estimate(A, r, TirConfig(lam=1e-8, penalty="l2_only"))
-        err = l2_norm(GridFunction(x, result.phi_hat.values - phi0.values))
-        assert err < 1e-2
 
     def test_penalty_path_nonincreasing(self, problem):
         _, _, A, _, r = problem
         lams = np.logspace(-6, 2, 9)
         values = []
         for lam in lams:
-            cfg = TirConfig(lam=float(lam))
-            values.append(tir_penalty_value(A, tir_estimate(A, r, cfg), cfg))
+            values.append(sobolev_norm(tir_estimate(A, r, float(lam)).phi_hat) ** 2)
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-10)
 
     def test_rejects_zero_lambda(self, problem):
         _, _, A, _, r = problem
         with pytest.raises(ValueError):
-            tir_estimate(A, r, TirConfig(lam=0.0))
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TirConfig(lam=-1.0)
-        with pytest.raises(ValueError):
-            TirConfig(penalty="ridge")
+            tir_estimate(A, r, 0.0)
 
 
 class TestNaive:
@@ -161,9 +149,8 @@ class TestNaive:
 class TestConstrained:
     def test_inactive_constraints_match_tir(self, problem):
         x, _, A, _, r = problem
-        cfg = TirConfig(lam=1e-4)
-        unconstrained = tir_estimate(A, r, cfg)
-        constrained = constrained_estimate(A, r, cfg, MONOTONE_SET)
+        unconstrained = tir_estimate(A, r, 1e-4)
+        constrained = constrained_estimate(A, r, 1e-4, MONOTONE_SET)
         assert constrained.converged
         # feasible without constraints: the QP takes no step
         assert constrained.iterations == 0
@@ -177,7 +164,7 @@ class TestConstrained:
         eps = 0.1
         shift = apply(A, psi(CounterexampleSpec(MONOTONE, 50), x)).values
         perturbed = GridFunction(z, r.values + eps * shift)
-        result = constrained_estimate(A, perturbed, TirConfig(lam=0.0), MONOTONE_SET)
+        result = constrained_estimate(A, perturbed, 0.0, MONOTONE_SET)
         assert result.converged
         assert result.iterations >= 1
         assert result.kkt_residual <= 1e-6
@@ -191,7 +178,7 @@ class TestConstrained:
         x, z, A, _, _ = problem
         r = apply(A, GridFunction(x, -np.ones(64)))
         cset = ConstraintSet(constraints=(ShapeConstraint("nonnegative"),))
-        result = constrained_estimate(A, r, TirConfig(lam=0.0), cset)
+        result = constrained_estimate(A, r, 0.0, cset)
         assert result.phi_hat.values.min() >= -1e-9
         assert result.kkt_residual <= 1e-6
         assert all(result.constraint_verdicts.values())
@@ -200,9 +187,7 @@ class TestConstrained:
         x, z, A, _, r = problem
         shift = apply(A, psi(CounterexampleSpec(MONOTONE, 50), x)).values
         perturbed = GridFunction(z, r.values + 0.1 * shift)
-        result = constrained_estimate(
-            A, perturbed, TirConfig(lam=0.0), MONOTONE_SET, maxit=1
-        )
+        result = constrained_estimate(A, perturbed, 0.0, MONOTONE_SET, maxit=1)
         assert not result.converged
         assert result.iterations == 1
         assert np.all(np.isfinite(result.phi_hat.values))
@@ -210,10 +195,35 @@ class TestConstrained:
 
     def test_negative_lambda_rejected(self, problem):
         _, _, A, _, r = problem
-        cfg = TirConfig(lam=1e-4)
-        object.__setattr__(cfg, "lam", -1.0)
-        with pytest.raises(ValueError):
-            constrained_estimate(A, r, cfg, MONOTONE_SET)
+        with pytest.raises(ValueError, match="0 <= lam < inf"):
+            constrained_estimate(A, r, -1.0, MONOTONE_SET)
+
+    def test_nnls_errors_other_than_its_iteration_cap_propagate(
+        self, problem, monkeypatch
+    ):
+        x, z, A, _, r = problem
+        shift = apply(A, psi(CounterexampleSpec(MONOTONE, 50), x)).values
+        perturbed = GridFunction(z, r.values + 0.1 * shift)
+
+        def broken_nnls(*args, **kwargs):
+            raise ValueError("synthetic nnls failure")
+
+        monkeypatch.setattr(estimators, "nnls", broken_nnls)
+        with pytest.raises(ValueError, match="synthetic nnls failure"):
+            constrained_estimate(A, perturbed, 0.0, MONOTONE_SET)
+
+
+@pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", ["tir", "constrained", "probe"])
+def test_lambda_outside_its_range_rejected(problem, entry, lam):
+    _, _, A, _, r = problem
+    solve = {
+        "tir": lambda: tir_estimate(A, r, lam),
+        "constrained": lambda: constrained_estimate(A, r, lam, MONOTONE_SET),
+        "probe": lambda: stability_probe(A, r, [1e-6], lam),
+    }[entry]
+    with pytest.raises(ValueError, match="lam < inf"):
+        solve()
 
 
 class TestConstraintSet:
@@ -225,9 +235,14 @@ class TestConstraintSet:
                 ShapeConstraint("convex"),
             )
         )
-        assert cset.row_counts() == [1001, 1000, 999]
         G = cset.matrix_on_values(make_grid(64))
-        assert G.shape == (3000, 64)
+        assert G.shape == (1001 + 1000 + 999, 64)
+
+    def test_rejects_inspection_grid_too_small_for_the_order(self):
+        small = make_grid(4, UNIFORM_TRAPEZOID)
+        ConstraintSet((ShapeConstraint("convex"),), small)
+        with pytest.raises(ValueError, match="derivative_sign_3"):
+            ConstraintSet((ShapeConstraint("derivative_sign", order=3),), small)
 
     def test_matrix_applies_differences_of_the_resampled_values(self):
         # resampling a polynomial from a Gauss grid is exact, so the
@@ -321,7 +336,7 @@ class TestSampledPlugin:
 @pytest.fixture(scope="module")
 def rows(problem):
     _, _, A, _, r = problem
-    return stability_probe(A, r, [0.0, 1e-6], TirConfig(lam=1e-4))
+    return stability_probe(A, r, [0.0, 1e-6], 1e-4)
 
 
 class TestStabilityProbe:
@@ -341,7 +356,7 @@ class TestStabilityProbe:
     def test_tikhonov_amplification_respects_norm_bound(self, problem):
         _, _, A, _, r = problem
         for lam in (1e-4, 1e-2):
-            rows = stability_probe(A, r, [1e-6], TirConfig(lam=lam))
+            rows = stability_probe(A, r, [1e-6], lam)
             bound = 1.0 / (2.0 * math.sqrt(lam))
             tir_rows = [row for row in rows if row["solver"] == "tir"]
             assert tir_rows
@@ -360,7 +375,7 @@ class TestStabilityProbe:
     def test_requires_positive_lambda(self, problem):
         _, _, A, _, r = problem
         with pytest.raises(ValueError):
-            stability_probe(A, r, [1e-6], TirConfig(lam=0.0))
+            stability_probe(A, r, [1e-6], 0.0)
 
 
 def _fresh_problem():
@@ -394,7 +409,7 @@ class TestFactorizationReuse:
         naive_estimate(A, r)
         for rr in data:
             naive_estimate(A, rr)
-            constrained_estimate(A, rr, TirConfig(lam=0.0), MONOTONE_SET)
+            constrained_estimate(A, rr, 0.0, MONOTONE_SET)
         assert len(calls) == 1
 
     def test_condition_diagnostic_is_exact_per_lambda_and_penalty(self):
@@ -404,25 +419,20 @@ class TestFactorizationReuse:
         F = _derivative_form(A)
         for _ in range(2):
             for lam in (1e-6, 1e-2):
-                for penalty in ("sobolev_first_order", "l2_only"):
-                    H = M.T @ M + lam * np.eye(n)
-                    if penalty == "sobolev_first_order":
-                        H = H + lam * (F.T @ F)
-                    want = float(np.linalg.eigvalsh(H)[0])
-                    got = tir_estimate(A, r, TirConfig(lam=lam, penalty=penalty))
-                    assert got.condition_diagnostic == want, (lam, penalty)
+                H = M.T @ M + lam * np.eye(n) + lam * (F.T @ F)
+                want = float(np.linalg.eigvalsh(H)[0])
+                assert tir_estimate(A, r, lam).condition_diagnostic == want, lam
 
     def test_threads_sharing_an_operator_match_serial(self):
         x, serial_op, r = _fresh_problem()
         _, shared_op, _ = _fresh_problem()
         data = _perturbed_data(x, serial_op, r, (1, 5, 20, 50))
-        cfg = TirConfig(lam=1e-4)
 
         def solve_all(A, rr):
             return [
                 naive_estimate(A, rr),
-                tir_estimate(A, rr, cfg),
-                constrained_estimate(A, rr, TirConfig(lam=0.0), MONOTONE_SET),
+                tir_estimate(A, rr, 1e-4),
+                constrained_estimate(A, rr, 0.0, MONOTONE_SET),
             ]
 
         serial = [solve_all(serial_op, rr) for rr in data]

@@ -634,6 +634,24 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="phi0_table"):
             config_from_mapping(raw)
 
+    def test_phi0_table_needs_custom_phi0(self):
+        raw = {
+            "experiment": "illposedness_demo",
+            "dgp": {"phi0": "square", "phi0_table": [[0, 0], [1, 1]]},
+        }
+        with pytest.raises(ConfigError, match="phi0_table needs phi0 = 'custom'"):
+            config_from_mapping(raw)
+
+    def test_inspection_size_must_fit_every_constraint_order(self):
+        raw = {
+            "experiment": "estimator_comparison",
+            "inspection_size": 4,
+            "constraints": ["convex", "derivative_sign_3"],
+        }
+        with pytest.raises(ConfigError, match="at least 5 for constraint 'derivative_sign"):
+            config_from_mapping(raw)
+        assert config_from_mapping(dict(raw, inspection_size=5)).inspection_size == 5
+
     def test_load_config_happy_path(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(
