@@ -15,22 +15,18 @@ from .counterexamples import (
     MONOTONE,
     NONNEG,
     CounterexampleSpec,
-    PerturbedFunction,
     analytic_sobolev_norm,
     analytic_sup_A_psi_bound,
     perturb,
-    perturbation_distance,
     psi,
 )
 from .dgp import (
     Dgp,
     DgpSpec,
     Sample,
-    bounded_density_check,
     make_dgp,
     phi0_callable,
     phi0_on_grid,
-    reduced_form,
     sample,
 )
 from .estimators import (
@@ -83,7 +79,6 @@ from .operators import (
     apply,
     discretize,
     q_infinity,
-    residual_m,
     svd_report,
     weighted_matrix,
 )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .function_space import Grid, GridFunction, l2_norm
+from .function_space import Grid, GridFunction
 
 MONOTONE = "monotone"
 NONNEG = "nonneg"
@@ -47,13 +47,6 @@ class CounterexampleSpec:
             raise ValueError("epsilon must be positive")
 
 
-@dataclass(frozen=True)
-class PerturbedFunction:
-    base: GridFunction
-    spec: CounterexampleSpec
-    result: GridFunction
-
-
 def _log_power_minus_one(k: int) -> float:
     """log(2^k - 1) without forming 2^k."""
     return k * math.log(2.0) + math.log1p(-math.pow(2.0, -k))
@@ -77,15 +70,10 @@ def psi(spec: CounterexampleSpec, grid: Grid) -> GridFunction:
     return GridFunction(grid, values)
 
 
-def perturb(base: GridFunction, spec: CounterexampleSpec) -> PerturbedFunction:
+def perturb(base: GridFunction, spec: CounterexampleSpec) -> GridFunction:
     """Form base + epsilon * psi_n on the base function's grid."""
     p = psi(spec, base.grid)
-    result = GridFunction(base.grid, base.values + spec.epsilon * p.values)
-    return PerturbedFunction(base=base, spec=spec, result=result)
-
-
-def perturbation_distance(pf: PerturbedFunction) -> float:
-    return l2_norm(GridFunction(pf.base.grid, pf.result.values - pf.base.values))
+    return GridFunction(base.grid, base.values + spec.epsilon * p.values)
 
 
 def analytic_sup_A_psi_bound(spec: CounterexampleSpec, density_sup: float) -> float:

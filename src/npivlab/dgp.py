@@ -35,7 +35,6 @@ class DgpSpec:
     phi0: str = "square"
     rho: float = 0.5
     noise_sd: float = 0.0
-    independent_case: bool = False
     phi0_table: tuple | None = None
 
     def __post_init__(self):
@@ -82,33 +81,21 @@ def phi0_on_grid(spec: DgpSpec, grid: Grid) -> GridFunction:
 @dataclass(frozen=True)
 class Dgp:
     spec: DgpSpec
-    sup_fz: float
     sup_fxz: float
 
-    def _copula(self, x, z):
+    def f_x_given_z(self, x, z):
+        """Conditional density of X given Z: the copula density itself,
+        since both marginals are uniform (f_Z is identically 1)."""
         x = np.clip(np.asarray(x, dtype=float), _CLIP, 1.0 - _CLIP)
         z = np.clip(np.asarray(z, dtype=float), _CLIP, 1.0 - _CLIP)
         rho = self.spec.rho
-        if self.spec.independent_case or rho == 0.0:
+        if rho == 0.0:
             return np.ones(np.broadcast(x, z).shape)
         a = ndtri(x)
         b = ndtri(z)
         s2 = 1.0 - rho * rho
         expo = (-rho * rho * (a * a + b * b) + 2.0 * rho * a * b) / (2.0 * s2)
         return np.exp(expo) / math.sqrt(s2)
-
-    def f_xz(self, x, z):
-        """Joint density of (X, Z); the copula density itself because the
-        marginals are uniform."""
-        return self._copula(x, z)
-
-    def f_z(self, z):
-        z = np.asarray(z, dtype=float)
-        return np.ones(z.shape)
-
-    def f_x_given_z(self, x, z):
-        # conditional density equals the joint since f_Z is identically 1
-        return self._copula(x, z)
 
 
 @dataclass(frozen=True)
@@ -124,7 +111,7 @@ class Sample:
 
 
 def make_dgp(spec: DgpSpec) -> Dgp:
-    """Construct the Dgp with density sup bounds from a midpoint lattice.
+    """Construct the Dgp with the density's sup bound from a midpoint lattice.
 
     The sup of the joint density is taken over a 512 x 512 lattice of cell
     midpoints. The copula density grows toward two corners of the square,
@@ -132,36 +119,9 @@ def make_dgp(spec: DgpSpec) -> Dgp:
     the resolution the package actually evaluates densities on, and is the
     constant used by the integral-bound checks.
     """
-    if not abs(spec.rho) < 1:
-        raise ValueError("rho must satisfy |rho| < 1")
     pts = (np.arange(_LATTICE) + 0.5) / _LATTICE
-    probe = Dgp(spec=spec, sup_fz=1.0, sup_fxz=1.0)
-    vals = probe.f_xz(pts[None, :], pts[:, None])
-    return Dgp(spec=spec, sup_fz=1.0, sup_fxz=float(vals.max()))
-
-
-def bounded_density_check(dgp: Dgp, limit: float = 1e3) -> dict:
-    """Report the density sup bounds and whether both sit below ``limit``."""
-    return {
-        "sup_fz": dgp.sup_fz,
-        "sup_fxz": dgp.sup_fxz,
-        "bounded": bool(np.isfinite(dgp.sup_fz))
-        and bool(np.isfinite(dgp.sup_fxz))
-        and dgp.sup_fz < limit
-        and dgp.sup_fxz < limit,
-    }
-
-
-def reduced_form(dgp: Dgp, phi0: GridFunction, z_grid: Grid) -> GridFunction:
-    """r(z_j) = integral of phi0(x) f_{X|Z}(x | z_j) dx on the x-quadrature.
-
-    Uses the same row-normalized kernel as the discretized operator, so the
-    moment condition r = A phi0 holds to machine precision on the grid.
-    """
-    from .operators import apply, discretize
-
-    A = discretize(dgp, phi0.grid, z_grid)
-    return apply(A, phi0)
+    vals = Dgp(spec=spec, sup_fxz=1.0).f_x_given_z(pts[None, :], pts[:, None])
+    return Dgp(spec=spec, sup_fxz=float(vals.max()))
 
 
 def sample(dgp: Dgp, m: int, seed: int) -> Sample:
@@ -171,7 +131,7 @@ def sample(dgp: Dgp, m: int, seed: int) -> Sample:
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(m)
     w_indep = rng.standard_normal(m)
-    rho = 0.0 if dgp.spec.independent_case else dgp.spec.rho
+    rho = dgp.spec.rho
     w = rho * v + math.sqrt(1.0 - rho * rho) * w_indep
     x = ndtr(v)
     z = ndtr(w)

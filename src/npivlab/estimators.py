@@ -32,7 +32,6 @@ from .function_space import (
     Grid,
     GridFunction,
     ShapeConstraint,
-    check_shape,
     default_inspection_grid,
     differentiation_matrix,
     l2_norm,
@@ -98,12 +97,9 @@ class ConstraintSet:
 class EstimateResult:
     phi_hat: GridFunction
     objective: float
-    lambda_used: float
     kkt_residual: float
-    constraint_verdicts: dict
     condition_diagnostic: float
     converged: bool = True
-    solver: str = ""
     iterations: int = 0
 
 
@@ -152,11 +148,8 @@ def tir_estimate(A: DiscreteOperator, r: GridFunction, lam: float) -> EstimateRe
     return EstimateResult(
         phi_hat=GridFunction(A.x_grid, u / sw),
         objective=fit + lam * pen,
-        lambda_used=lam,
         kkt_residual=kkt,
-        constraint_verdicts={},
         condition_diagnostic=smallest_eig,
-        solver="tir",
     )
 
 
@@ -182,11 +175,8 @@ def naive_estimate(A: DiscreteOperator, r: GridFunction) -> EstimateResult:
     return EstimateResult(
         phi_hat=GridFunction(A.x_grid, u / sw),
         objective=fit,
-        lambda_used=0.0,
         kkt_residual=0.0,
-        constraint_verdicts={},
         condition_diagnostic=sigma_min,
-        solver="naive",
     )
 
 
@@ -347,19 +337,11 @@ def constrained_estimate(
         f = A.svd
         U, s, Vt, J = f.U, f.s, f.Vt, f.rank
     if J == 0:
-        phi = GridFunction(A.x_grid, np.zeros(n))
-        verdicts = {
-            c.name: check_shape(phi, c, constraints.inspection_grid)
-            for c in constraints.constraints
-        }
         return EstimateResult(
-            phi_hat=phi,
+            phi_hat=GridFunction(A.x_grid, np.zeros(n)),
             objective=float(b @ b),
-            lambda_used=lam,
             kkt_residual=0.0,
-            constraint_verdicts=verdicts,
             condition_diagnostic=0.0,
-            solver="constrained",
         )
     Sj = s[:J]
     d = U[:, :J].T @ b
@@ -368,21 +350,12 @@ def constrained_estimate(
     A_red = G @ Vt[:J].T
     y, mu, iterations, converged = _solve_inequality_qp(Sj, d, A_red, maxit)
     u = Vt[:J].T @ y
-    kkt = _qp_certificate(Sj, d, A_red, y, mu)
-    phi = GridFunction(A.x_grid, u / sw)
-    verdicts = {
-        c.name: check_shape(phi, c, constraints.inspection_grid)
-        for c in constraints.constraints
-    }
     return EstimateResult(
-        phi_hat=phi,
+        phi_hat=GridFunction(A.x_grid, u / sw),
         objective=float(np.linalg.norm(B @ u - b) ** 2),
-        lambda_used=lam,
-        kkt_residual=kkt,
-        constraint_verdicts=verdicts,
+        kkt_residual=_qp_certificate(Sj, d, A_red, y, mu),
         condition_diagnostic=float(Sj[-1]),
         converged=converged,
-        solver="constrained",
         iterations=iterations,
     )
 
@@ -404,8 +377,8 @@ def sampled_plugin(sample, x_grid: Grid, z_grid: Grid, h_x=None, h_z=None):
     if m < 50:
         raise ValueError("sampled_plugin needs at least 50 observations")
     for h in (h_x, h_z):
-        if h is not None and h <= 0:
-            raise ValueError("bandwidths must be positive")
+        if h is not None and not 0 < h < math.inf:
+            raise ValueError(f"bandwidths must be positive and finite, got {h!r}")
     hx = h_x if h_x is not None else 1.06 * float(np.std(sample.x)) * m**-0.2
     hz = h_z if h_z is not None else 1.06 * float(np.std(sample.z)) * m**-0.2
     if not (hx > 1e-12 and hz > 1e-12):
@@ -477,10 +450,15 @@ def stability_probe(
     singular value, the image of a high-index perturbation sequence member,
     and seeded white noise, each normalized in the fz-weighted norm. Rows
     cover the naive, Tikhonov, and constrained solvers. Tikhonov rows obey
-    the operator-norm bound 1/(2 sqrt(lam)), so 0 < lam < inf is required.
+    the operator-norm bound 1/(2 sqrt(lam)), so 0 < lam < inf is required;
+    each delta must satisfy 0 <= delta < inf (delta = 0 reports 0).
     """
     if not 0 < lam < math.inf:
         raise ValueError(f"stability_probe requires 0 < lam < inf, got {lam!r}")
+    deltas = list(deltas)
+    for delta in deltas:
+        if not 0 <= delta < math.inf:
+            raise ValueError(f"stability_probe requires 0 <= delta < inf, got {delta!r}")
     directions = _probe_directions(A)
     cset = ConstraintSet(constraints=(ShapeConstraint("monotone_nondecreasing"),))
     solvers = {

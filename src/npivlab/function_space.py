@@ -43,6 +43,8 @@ class Grid:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         if self.nodes.ndim != 1 or self.weights.shape != self.nodes.shape:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
+        if not (np.isfinite(self.nodes).all() and np.isfinite(self.weights).all()):
+            raise ValueError("grid nodes and weights must be finite")
         if np.any(np.diff(self.nodes) <= 0):
             raise ValueError("grid nodes must be strictly increasing")
         if self.nodes[0] < -1e-15 or self.nodes[-1] > 1 + 1e-15:

@@ -31,7 +31,6 @@ from .counterexamples import (
     CounterexampleSpec,
     analytic_sup_A_psi_bound,
     perturb,
-    perturbation_distance,
     psi,
 )
 from .dgp import DgpSpec, make_dgp, phi0_on_grid, sample
@@ -94,7 +93,6 @@ def _is_number(value) -> bool:
 _TYPE_RULES = {
     "int": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
     "float": ("a finite number", lambda v: _is_number(v) and math.isfinite(v)),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
 }
 
 
@@ -238,8 +236,8 @@ def run_illposedness_demo(cfg: ExperimentConfig) -> ResultTable:
     l2_dist is the measured distance of the perturbed function from the
     truth (equal to epsilon by the unit norm of the sequence), q_infty the
     population criterion, analytic_bound the closed-form upper bound
-    epsilon^2 sup_fz bound(n)^2, and the _ok columns report shape checks of
-    the perturbed function itself.
+    epsilon^2 bound(n)^2 (f_Z is identically 1), and the _ok columns report
+    shape checks of the perturbed function itself.
     """
     _require(cfg, "illposedness_demo")
     dgp, x_grid, _, phi0, A, r = _problem(cfg)
@@ -252,17 +250,16 @@ def run_illposedness_demo(cfg: ExperimentConfig) -> ResultTable:
     rows = []
     for n in range(cfg.n_max + 1):
         cspec = CounterexampleSpec(cfg.family, n, cfg.epsilon)
-        perturbed = perturb(phi0, cspec)
-        phi_n = perturbed.result
+        phi_n = perturb(phi0, cspec)
         direction = psi(cspec, x_grid)
         bound = analytic_sup_A_psi_bound(cspec, dgp.sup_fxz)
         flags = [bool(check_shape(phi_n, c, inspection)) for c in checks]
         rows.append(
             (
                 n,
-                perturbation_distance(perturbed),
+                l2_norm(GridFunction(x_grid, phi_n.values - phi0.values)),
                 q_infinity(A, phi_n, r),
-                cfg.epsilon**2 * dgp.sup_fz * bound**2,
+                cfg.epsilon**2 * bound**2,
                 float(np.abs(apply(A, direction).values).max()),
                 sobolev_norm(phi_n),
                 flags[0],
@@ -322,8 +319,6 @@ def run_estimator_comparison(cfg: ExperimentConfig) -> ResultTable:
     )
 
     def shape_ok(result):
-        if result.constraint_verdicts:
-            return all(bool(v) for v in result.constraint_verdicts.values())
         return all(
             bool(check_shape(result.phi_hat, c, inspection)) for c in cset.constraints
         )

@@ -83,6 +83,8 @@ class DiscreteOperator:
         object.__setattr__(self, "_cache", {})
         if K.shape != (self.z_grid.size, self.x_grid.size):
             raise ValueError("kernel matrix shape must be (z size, x size)")
+        if not (np.isfinite(K).all() and np.isfinite(fzw).all()):
+            raise ValueError("kernel matrix and fz_weights must be finite")
         row_sums = K.sum(axis=1)
         if np.any(np.abs(row_sums - 1.0) > 1e-8):
             raise ValueError("kernel rows must integrate to 1 within 1e-8")
@@ -131,8 +133,10 @@ def discretize(dgp, x_grid: Grid, z_grid: Grid) -> DiscreteOperator:
     dens = dgp.f_x_given_z(x_grid.nodes[None, :], z_grid.nodes[:, None])
     K = dens * x_grid.weights[None, :]
     K = K / K.sum(axis=1, keepdims=True)
-    fzw = z_grid.weights * dgp.f_z(z_grid.nodes)
-    return DiscreteOperator(x_grid=x_grid, z_grid=z_grid, kernel_matrix=K, fz_weights=fzw)
+    # the instrument is uniform on [0, 1], so f_Z is identically 1
+    return DiscreteOperator(
+        x_grid=x_grid, z_grid=z_grid, kernel_matrix=K, fz_weights=z_grid.weights
+    )
 
 
 def apply(A: DiscreteOperator, phi: GridFunction) -> GridFunction:
@@ -141,17 +145,13 @@ def apply(A: DiscreteOperator, phi: GridFunction) -> GridFunction:
     return GridFunction(A.z_grid, A.kernel_matrix @ phi.values)
 
 
-def residual_m(A: DiscreteOperator, phi: GridFunction, r: GridFunction) -> GridFunction:
-    """Pointwise moment residual (A phi)(z) - r(z)."""
+def q_infinity(A: DiscreteOperator, phi: GridFunction, r: GridFunction) -> float:
+    """Weighted mean-square moment residual, the population criterion:
+    the fz-weighted sum of ((A phi)(z_j) - r(z_j))^2."""
     if not r.grid.same_as(A.z_grid):
         raise GridMismatchError("r must live on the operator's z grid")
-    return GridFunction(A.z_grid, apply(A, phi).values - r.values)
-
-
-def q_infinity(A: DiscreteOperator, phi: GridFunction, r: GridFunction) -> float:
-    """Weighted mean-square moment residual, the population criterion."""
-    m = residual_m(A, phi, r)
-    return float(np.dot(A.fz_weights, m.values**2))
+    m = apply(A, phi).values - r.values
+    return float(np.dot(A.fz_weights, m**2))
 
 
 def adjoint_apply(A: DiscreteOperator, psi: GridFunction) -> GridFunction:
@@ -188,17 +188,18 @@ def weighted_matrix(A: DiscreteOperator) -> np.ndarray:
 def svd_report(A: DiscreteOperator) -> SvdReport:
     """Singular values of the weighted operator plus decay diagnostics.
 
-    numerical_rank counts the values above SVD_TRUNCATION_RTOL times the
-    largest, the rank every solver truncates at. decay_fit is the
-    least-squares slope of log sigma_k against k over the values above
-    1e-14 * sigma_1 (the part of the spectrum not drowned in rounding).
+    The values and numerical_rank come from the operator's one cached SVD,
+    so they are the spectrum and the rank every solver truncates at.
+    decay_fit is the least-squares slope of log sigma_k against k over the
+    values above 1e-14 * sigma_1 (the part of the spectrum not drowned in
+    rounding).
     """
-    s = np.linalg.svd(weighted_matrix(A), compute_uv=False)
-    rank = _truncation_rank(s)
+    f = A.svd
+    s = f.s
     positive = s > (1e-14 * s[0] if s.size and s[0] > 0 else 0.0)
     if positive.sum() >= 2:
         k = np.arange(1, s.size + 1)[positive]
         slope = float(np.polyfit(k, np.log(s[positive]), 1)[0])
     else:
         slope = float("nan")
-    return SvdReport(singular_values=s, numerical_rank=rank, decay_fit=slope)
+    return SvdReport(singular_values=s, numerical_rank=f.rank, decay_fit=slope)

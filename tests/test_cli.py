@@ -87,6 +87,8 @@ def test_seed_flag_overrides_config(tmp_path):
         "{broken json",
         json.dumps({"experiment": "svd_report", "bogus_key": 1}),
         json.dumps({"experiment": "svd_report", "dgp": {"rho": 2.0}}),
+        # the independent case is spelled rho = 0; the old flag is unknown
+        json.dumps({"experiment": "svd_report", "dgp": {"independent_case": True}}),
     ],
 )
 def test_bad_config_files_exit_2(tmp_path, payload, capsys):

@@ -332,3 +332,7 @@ def test_grid_validation_rejects_bad_inputs():
         Grid(nodes=np.array([0.1, 0.2]), weights=np.array([0.9, 0.3]), rule=GAUSS_LEGENDRE)
     with pytest.raises(ValueError):
         Grid(nodes=np.array([-0.1, 0.2]), weights=np.array([0.5, 0.5]), rule=GAUSS_LEGENDRE)
+    # NaN compares false with everything, so it needs its own check
+    for nodes, weights in (([0.1, np.nan], [0.5, 0.5]), ([0.1, 0.2], [np.nan, 0.5])):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(nodes=np.array(nodes), weights=np.array(weights), rule=GAUSS_LEGENDRE)

@@ -189,9 +189,7 @@ class TestSvdReport:
         assert ks == list(range(1, 65))
 
     def test_independent_case_is_rank_one(self):
-        cfg = ExperimentConfig(
-            experiment="svd_report", dgp=DgpSpec(independent_case=True)
-        )
+        cfg = ExperimentConfig(experiment="svd_report", dgp=DgpSpec(rho=0.0))
         table = run_svd_report(cfg)
         for size in (64, 128):
             sigma = [
@@ -401,7 +399,6 @@ class TestCsv:
             "phi0",
             "rho",
             "noise_sd",
-            "independent_case",
             "phi0_table",
             "quadrature_size",
             "inspection_size",
@@ -418,7 +415,7 @@ class TestCsv:
             "out",
             "timestamp",
         }
-        assert expected <= set(metadata)
+        assert set(metadata) == expected
 
     def test_metadata_is_sufficient_to_rerun(self, tmp_path):
         cfg = demo_config(n_max=5)
@@ -432,7 +429,6 @@ class TestCsv:
                 "phi0": metadata["phi0"],
                 "rho": float(metadata["rho"]),
                 "noise_sd": float(metadata["noise_sd"]),
-                "independent_case": metadata["independent_case"] == "true",
             },
             "quadrature_size": int(metadata["quadrature_size"]),
             "inspection_size": int(metadata["inspection_size"]),
@@ -497,7 +493,6 @@ class TestCsv:
             b"# phi0 = custom\r\n"
             b"# rho = 0.29999999999999999\r\n"
             b"# noise_sd = 0.25\r\n"
-            b"# independent_case = false\r\n"
             b"# phi0_table = 0:0.5;0.40000000000000002:0.10000000000000001;"
             b"1:0.33333333333333331\r\n"
             b"# quadrature_size = 16\r\n"
@@ -607,9 +602,9 @@ class TestConfigLoading:
             ('"lambdas": ["0.5"]', "lambda values must be positive and finite"),
             ('"epsilon": true', "epsilon must be a finite number"),
             ('"ball_radius": "0.5"', "ball_radius must be a finite number"),
-            ('"dgp": {"independent_case": "yes"}', "independent_case must be true or"),
-            ('"dgp": {"independent_case": 1}', "independent_case must be true or"),
-            ('"dgp": {"independent_case": null}', "independent_case must be true or"),
+            ('"dgp": {"independent_case": "yes"}', "unknown dgp config key"),
+            ('"dgp": {"independent_case": 1}', "unknown dgp config key"),
+            ('"dgp": {"independent_case": null}', "unknown dgp config key"),
         ],
     )
     def test_floats_must_be_finite_and_booleans_boolean(self, payload, fragment):

@@ -22,7 +22,6 @@ from npivlab.operators import (
     apply,
     discretize,
     q_infinity,
-    residual_m,
     svd_report,
     weighted_matrix,
 )
@@ -44,7 +43,7 @@ def problem():
 def independent():
     x = make_grid(128)
     z = make_grid(128)
-    spec = DgpSpec(independent_case=True)
+    spec = DgpSpec(rho=0.0)
     dgp = make_dgp(spec)
     return x, z, discretize(dgp, x, z)
 
@@ -78,10 +77,12 @@ def test_apply_zero_is_zero(problem):
 
 
 def test_apply_grid_mismatch(problem):
-    _, _, _, A, _, _ = problem
+    _, _, _, A, phi0, _ = problem
     wrong = GridFunction(make_grid(64), np.zeros(64))
     with pytest.raises(GridMismatchError):
         apply(A, wrong)
+    with pytest.raises(GridMismatchError):
+        q_infinity(A, phi0, wrong)
 
 
 def test_flat_case_image_of_member_is_its_integral(independent):
@@ -128,24 +129,24 @@ def test_apply_is_linear(a, b, seed):
 
 def test_residual_vanishes_at_truth(problem):
     _, _, _, A, phi0, r = problem
-    res = residual_m(A, phi0, r)
-    assert np.all(res.values == 0.0)
+    assert q_infinity(A, phi0, r) == 0.0
 
 
 def test_residual_is_image_of_the_difference(problem):
     x, _, _, A, phi0, r = problem
     spec = CounterexampleSpec(MONOTONE, 14, epsilon=0.1)
     phi_n = GridFunction(x, phi0.values + 0.1 * psi(spec, x).values)
-    res = residual_m(A, phi_n, r)
     direct = 0.1 * apply(A, psi(spec, x)).values
-    assert np.abs(res.values - direct).max() < 1e-12
+    expected = float(np.dot(A.fz_weights, direct**2))
+    assert math.isclose(q_infinity(A, phi_n, r), expected, rel_tol=1e-10)
 
 
 def test_residual_of_shifted_data_is_constant(problem):
+    """A constant shift c of the data leaves the residual -c at every node,
+    so the criterion is c^2 times the total fz weight, which is 1."""
     _, z, _, A, phi0, r = problem
     shifted = GridFunction(z, r.values + 0.37)
-    res = residual_m(A, phi0, shifted)
-    np.testing.assert_allclose(res.values, -0.37, rtol=1e-14)
+    assert math.isclose(q_infinity(A, phi0, shifted), 0.37**2, rel_tol=1e-14)
 
 
 def test_criterion_zero_at_truth(problem):
@@ -155,7 +156,7 @@ def test_criterion_zero_at_truth(problem):
 
 def test_criterion_closed_form_in_flat_case(independent):
     x, z, A = independent
-    phi0 = phi0_on_grid(DgpSpec(independent_case=True), x)
+    phi0 = phi0_on_grid(DgpSpec(rho=0.0), x)
     r = apply(A, phi0)
     eps = 0.1
     for n in (0, 1, 5, 40, 100):
@@ -245,6 +246,12 @@ class TestSvd:
             s = svd_report(discretize(make_dgp(DgpSpec(rho=rho)), g, g)).singular_values
             assert abs(s[1] - rho) < 5e-3
 
+    def test_report_reads_the_operator_factorization(self, problem):
+        A = problem[3]
+        report = svd_report(A)
+        assert report.singular_values is A.svd.s
+        assert report.numerical_rank == A.svd.rank
+
     def test_decay_fit_is_negative(self, problem):
         report = svd_report(problem[3])
         assert report.decay_fit < -0.5
@@ -332,6 +339,11 @@ def test_operator_validation():
         DiscreteOperator(
             x_grid=x, z_grid=z, kernel_matrix=good[:3], fz_weights=z.weights
         )
+    for field in ("kernel_matrix", "fz_weights"):
+        parts = {"kernel_matrix": good.copy(), "fz_weights": z.weights.copy()}
+        parts[field].flat[1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteOperator(x_grid=x, z_grid=z, **parts)
 
 
 class TestFactorizationCache:

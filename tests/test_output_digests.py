@@ -50,7 +50,7 @@ WORKLOAD_CONFIGS = {
     },
 }
 
-SVD_REPORT_DIGEST = "9687049f1c5d39b26508db6ae865ba60a7e725e6c61e859eb90ab91fdabdb162"
+SVD_REPORT_DIGEST = "b8488e80b2fba1a10f3f95de1eb8d9edc5169dc7c39304b1463f962f38462c9f"
 
 
 def _data_digest(path: Path) -> str:
