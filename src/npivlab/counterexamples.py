@@ -41,10 +41,14 @@ class CounterexampleSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"index n must be an integer, got {self.n!r}")
         if self.n < 0:
             raise ValueError("index n must be nonnegative")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(
+                f"epsilon must be positive and finite, got {self.epsilon!r}"
+            )
 
 
 def _log_power_minus_one(k: int) -> float:

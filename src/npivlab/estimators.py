@@ -40,6 +40,7 @@ from .function_space import (
 from .operators import (
     SVD_TRUNCATION_RTOL,
     DiscreteOperator,
+    _read_only,
     _truncation_rank,
     apply,
     weighted_matrix,
@@ -83,14 +84,25 @@ class ConstraintSet:
                     f"too small for constraint {c.name!r}"
                 )
 
-    def matrix_on_values(self, x_grid: Grid) -> np.ndarray:
-        """Stacked inequality rows acting on values at x_grid nodes."""
+    def rows(self, x_grid: Grid, basis: np.ndarray) -> np.ndarray:
+        """Stacked inequality rows acting on coefficients in ``basis``.
+
+        basis holds, as columns, directions in the weighted coordinates
+        u = sqrt(w_x) phi on x_grid. Each constraint's block is built and
+        reduced on its own, so no full inspection-by-x_grid stack is formed.
+        """
         R = resample_matrix(x_grid, self.inspection_grid.nodes)
-        blocks = []
-        for c in self.constraints:
-            m = c.difference_order
-            blocks.append(np.diff(R, n=m, axis=0) if m > 0 else R)
-        return np.vstack(blocks) if blocks else np.zeros((0, x_grid.size))
+        sw = np.sqrt(x_grid.weights)
+
+        def block(m):
+            # divided in place (R itself is shared and read-only); D dies on
+            # return, so no two full-size blocks are alive at once
+            D = np.diff(R, n=m, axis=0) if m > 0 else R.copy()
+            D /= sw
+            return D @ basis
+
+        blocks = [block(c.difference_order) for c in self.constraints]
+        return np.vstack(blocks) if blocks else np.zeros((0, basis.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -119,6 +131,22 @@ def _derivative_form(A: DiscreteOperator) -> np.ndarray:
     return (sw[:, None] * D) / sw[None, :]
 
 
+def _penalty_form(A: DiscreteOperator) -> np.ndarray:
+    """F = _derivative_form(A), built once per operator, read-only."""
+    return A.memo("derivative_form", lambda: _read_only(_derivative_form(A)))
+
+
+def _tikhonov_grams(A: DiscreteOperator):
+    """(M^T M, F^T F), built once per operator, read-only."""
+
+    def build():
+        M = weighted_matrix(A)
+        F = _penalty_form(A)
+        return _read_only(M.T @ M), _read_only(F.T @ F)
+
+    return A.memo("tikhonov_grams", build)
+
+
 def tir_estimate(A: DiscreteOperator, r: GridFunction, lam: float) -> EstimateResult:
     """Tikhonov-regularized solve via the normal equations, 0 < lam < inf.
 
@@ -130,8 +158,9 @@ def tir_estimate(A: DiscreteOperator, r: GridFunction, lam: float) -> EstimateRe
         raise ValueError(f"tir_estimate requires 0 < lam < inf, got {lam!r}")
     M, sw, rt = _weighted_system(A, r)
     n = M.shape[1]
-    F = _derivative_form(A)
-    H = M.T @ M + lam * np.eye(n) + lam * (F.T @ F)
+    F = _penalty_form(A)
+    MtM, FtF = _tikhonov_grams(A)
+    H = MtM + lam * np.eye(n) + lam * FtF
     b = M.T @ rt
     try:
         u = np.linalg.solve(H, b)
@@ -327,7 +356,7 @@ def constrained_estimate(
     n = M.shape[1]
     if lam > 0:
         root = math.sqrt(lam)
-        B = np.vstack([M, root * np.eye(n), root * _derivative_form(A)])
+        B = np.vstack([M, root * np.eye(n), root * _penalty_form(A)])
         b = np.concatenate([rt, np.zeros(2 * n)])
         U, s, Vt = np.linalg.svd(B, full_matrices=False)
         J = _truncation_rank(s)
@@ -345,11 +374,19 @@ def constrained_estimate(
         )
     Sj = s[:J]
     d = U[:, :J].T @ b
-    G = constraints.matrix_on_values(A.x_grid)
-    G /= sw[None, :]
-    A_red = G @ Vt[:J].T
+    V = Vt[:J].T
+    if lam > 0:
+        A_red = constraints.rows(A.x_grid, V)
+    else:
+        # V is the operator's own, so the rows depend on it and the set alone.
+        # A Grid holds arrays, so the set is keyed by value, not hashed.
+        grid = constraints.inspection_grid
+        A_red = A.memo(
+            ("constraint_rows", constraints.constraints, grid.rule, grid.nodes.tobytes()),
+            lambda: _read_only(constraints.rows(A.x_grid, V)),
+        )
     y, mu, iterations, converged = _solve_inequality_qp(Sj, d, A_red, maxit)
-    u = Vt[:J].T @ y
+    u = V @ y
     return EstimateResult(
         phi_hat=GridFunction(A.x_grid, u / sw),
         objective=float(np.linalg.norm(B @ u - b) ** 2),
@@ -358,6 +395,15 @@ def constrained_estimate(
         converged=converged,
         iterations=iterations,
     )
+
+
+def _gaussian_block(nodes: np.ndarray, obs: np.ndarray, h: float) -> np.ndarray:
+    """exp(-0.5 ((nodes[i] - obs[j]) / h)^2), formed in one buffer."""
+    out = np.subtract.outer(nodes, obs)
+    out /= h
+    np.square(out, out=out)
+    out *= -0.5
+    return np.exp(out, out=out)
 
 
 def sampled_plugin(sample, x_grid: Grid, z_grid: Grid, h_x=None, h_z=None):
@@ -383,8 +429,8 @@ def sampled_plugin(sample, x_grid: Grid, z_grid: Grid, h_x=None, h_z=None):
     hz = h_z if h_z is not None else 1.06 * float(np.std(sample.z)) * m**-0.2
     if not (hx > 1e-12 and hz > 1e-12):
         raise DegenerateSampleError("sample has (near) zero spread in x or z")
-    gauss_x = np.exp(-0.5 * ((x_grid.nodes[:, None] - sample.x[None, :]) / hx) ** 2)
-    gauss_z = np.exp(-0.5 * ((z_grid.nodes[:, None] - sample.z[None, :]) / hz) ** 2)
+    gauss_x = _gaussian_block(x_grid.nodes, sample.x, hx)
+    gauss_z = _gaussian_block(z_grid.nodes, sample.z, hz)
     norm = 1.0 / (m * hx * hz * 2.0 * math.pi)
     fxz_hat = norm * (gauss_z @ gauss_x.T)
     fz_hat = fxz_hat @ x_grid.weights

@@ -10,6 +10,7 @@ difference stencils well scaled).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,10 +99,14 @@ class ShapeConstraint:
         kinds = ("nonnegative", "monotone_nondecreasing", "convex", "derivative_sign")
         if self.kind not in kinds:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
+        if isinstance(self.order, bool) or not isinstance(self.order, (int, np.integer)):
+            raise ValueError(f"order must be an integer, got {self.order!r}")
         if self.kind == "derivative_sign" and self.order < 1:
             raise ValueError("derivative_sign requires order >= 1")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
+        if not 0 <= self.tolerance < math.inf:
+            raise ValueError(
+                f"tolerance must be nonnegative and finite, got {self.tolerance!r}"
+            )
 
     @property
     def difference_order(self) -> int:

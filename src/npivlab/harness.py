@@ -397,25 +397,30 @@ def run_montecarlo(cfg: ExperimentConfig) -> ResultTable:
         return math.sqrt(float(np.dot(w, err**2)) / weight_sum)
 
     cells = [("naive", 0.0)] + [("tir", lam) for lam in cfg.lambdas]
-    rows = []
-    for i in range(cfg.replications):
+
+    # One replication per call, so its sample and operator (with everything
+    # cached on it) are released before the next sample is drawn.
+    def replicate(i: int) -> list:
         draws = sample(dgp, m, cfg.seed + i)
         try:
             op, r_hat = sampled_plugin(draws, x_grid, z_grid)
         except DegenerateSampleError:
-            rows.extend(
+            return [
                 ("replication", i, m, lam, name, float("nan"), "degenerate")
                 for name, lam in cells
-            )
-            continue
+            ]
+        out = []
         for name, lam in cells:
             if name == "naive":
                 est = naive_estimate(op, r_hat)
             else:
                 est = tir_estimate(op, r_hat, lam)
-            rows.append(
+            out.append(
                 ("replication", i, m, lam, name, interior_error(est.phi_hat), "ok")
             )
+        return out
+
+    rows = [row for i in range(cfg.replications) for row in replicate(i)]
 
     summary = []
     for name, lam in cells:

@@ -11,10 +11,17 @@ Singular values are reported for the weighted matrix
 W_z^(1/2) K W_x^(-1/2), whose singular values are those of the operator
 between the weighted L2 spaces rather than artifacts of node placement.
 
-An operator is immutable, so everything computed from it alone (the
-weighted matrix, its truncated SVD, the solvers' eigenvalue floors) is
-computed once, on first use, and kept on the operator as shared read-only
-arrays.
+An operator is immutable, so everything computed from it alone is computed
+once, on first use, and kept on the operator (``DiscreteOperator.memo``) as
+shared read-only arrays:
+
+  * the weighted matrix M and its truncated SVD;
+  * for the Tikhonov solver, the derivative form F in weighted coordinates,
+    the Gram matrices M^T M and F^T F, and the eigenvalue floor per lambda
+    (the lambda > 0 constrained solve reads the same F);
+  * for the lambda = 0 constrained solve, the constraint rows reduced to the
+    retained singular subspace, one entry per constraint set, keyed by the
+    constraints and the inspection grid's rule and nodes.
 """
 
 from __future__ import annotations

@@ -196,3 +196,10 @@ def test_spec_validation():
         CounterexampleSpec(MONOTONE, -1)
     with pytest.raises(ValueError):
         CounterexampleSpec(MONOTONE, 3, epsilon=0.0)
+    # n = 2.5 used to give a unit-norm function outside the family
+    for n in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="integer"):
+            CounterexampleSpec(MONOTONE, n)
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            CounterexampleSpec(MONOTONE, 3, epsilon=eps)

@@ -238,8 +238,8 @@ class TestConstraintSet:
                 ShapeConstraint("convex"),
             )
         )
-        G = cset.matrix_on_values(make_grid(64))
-        assert G.shape == (1001 + 1000 + 999, 64)
+        G = cset.rows(make_grid(64), np.eye(64)[:, :5])
+        assert G.shape == (1001 + 1000 + 999, 5)
 
     def test_rejects_inspection_grid_too_small_for_the_order(self):
         small = make_grid(4, UNIFORM_TRAPEZOID)
@@ -252,9 +252,16 @@ class TestConstraintSet:
         # constraint rows must reproduce differences of the true values
         x = make_grid(32)
         cset = ConstraintSet(constraints=(ShapeConstraint("monotone_nondecreasing"),))
-        G = cset.matrix_on_values(x)
+        # the rows act on the weighted coordinates u = sqrt(w_x) phi
+        G = cset.rows(x, np.eye(x.size))
         direct = np.diff(cset.inspection_grid.nodes**2)
-        assert np.abs(G @ x.nodes**2 - direct).max() < 1e-10
+        assert np.abs(G @ (np.sqrt(x.weights) * x.nodes**2) - direct).max() < 1e-10
+        # in a basis, they act on the coefficients
+        basis = np.linalg.qr(np.vander(x.nodes, 3))[0]
+        coeffs = np.array([0.3, -1.2, 2.0])
+        np.testing.assert_allclose(
+            cset.rows(x, basis) @ coeffs, G @ (basis @ coeffs), rtol=0, atol=1e-13
+        )
 
     def test_rejects_non_constraint_entries(self):
         with pytest.raises(ValueError):
@@ -431,6 +438,83 @@ class TestFactorizationReuse:
                 H = M.T @ M + lam * np.eye(n) + lam * (F.T @ F)
                 want = float(np.linalg.eigvalsh(H)[0])
                 assert tir_estimate(A, r, lam).condition_diagnostic == want, lam
+
+    def test_derivative_form_is_built_once_per_operator(self, monkeypatch):
+        x, A, r = _fresh_problem()
+        calls = []
+        original = estimators.differentiation_matrix
+
+        def counting(grid):
+            calls.append(1)
+            return original(grid)
+
+        monkeypatch.setattr(estimators, "differentiation_matrix", counting)
+        for lam in (1e-6, 1e-2):
+            tir_estimate(A, r, lam)
+        constrained_estimate(A, r, 1e-4, MONOTONE_SET)
+        tir_estimate(A, r, 1e-6)
+        assert len(calls) == 1
+        _, other, r_other = _fresh_problem()
+        tir_estimate(other, r_other, 1e-6)
+        assert len(calls) == 2
+
+    def test_zero_lambda_constraint_rows_are_built_once_per_set(self, monkeypatch):
+        x, A, r = _fresh_problem()
+        data = _perturbed_data(x, A, r, (1, 5, 20))
+        calls = []
+        original = ConstraintSet.rows
+
+        def counting(self, x_grid, basis):
+            calls.append(self)
+            return original(self, x_grid, basis)
+
+        monkeypatch.setattr(ConstraintSet, "rows", counting)
+        for rr in data:
+            constrained_estimate(A, rr, 0.0, MONOTONE_SET)
+        # an equal set built anew (fresh grid arrays) is the same cache entry
+        same = ConstraintSet(
+            constraints=(ShapeConstraint("monotone_nondecreasing"),),
+            inspection_grid=make_grid(1001, UNIFORM_TRAPEZOID),
+        )
+        constrained_estimate(A, r, 0.0, same)
+        assert len(calls) == 1
+        constrained_estimate(A, r, 0.0, ConstraintSet((ShapeConstraint("convex"),)))
+        assert len(calls) == 2
+        # lam > 0 rows live in the stacked problem's basis and are not cached
+        constrained_estimate(A, r, 1e-4, MONOTONE_SET)
+        constrained_estimate(A, r, 1e-4, MONOTONE_SET)
+        assert len(calls) == 4
+
+    def test_constraint_sets_sharing_an_operator_do_not_collide(self):
+        x, A, _ = _fresh_problem()
+        # neither monotone nor convex, so every set below has active rows
+        data = [
+            apply(A, GridFunction(x, np.sin(2 * np.pi * x.nodes))),
+            apply(A, GridFunction(x, -x.nodes**2)),
+        ]
+        monotone = ShapeConstraint("monotone_nondecreasing")
+        sets = [
+            MONOTONE_SET,
+            ConstraintSet((ShapeConstraint("convex"),)),
+            ConstraintSet((monotone,), make_grid(257, UNIFORM_TRAPEZOID)),
+            ConstraintSet((monotone, ShapeConstraint("convex"))),
+        ]
+        shared = [[constrained_estimate(A, rr, 0.0, c) for rr in data] for c in sets]
+        for cset, got_row in zip(sets, shared):
+            _, fresh, _ = _fresh_problem()
+            for rr, got in zip(data, got_row):
+                want = constrained_estimate(fresh, rr, 0.0, cset)
+                np.testing.assert_array_equal(got.phi_hat.values, want.phi_hat.values)
+                assert got.kkt_residual == want.kkt_residual
+                assert got.iterations == want.iterations
+
+    def test_gaussian_block_equals_the_plain_expression(self):
+        rng = np.random.default_rng(5)
+        nodes = make_grid(128).nodes
+        obs = rng.random(10_000)
+        for h in (0.03, 0.2, 1.7):
+            want = np.exp(-0.5 * ((nodes[:, None] - obs[None, :]) / h) ** 2)
+            np.testing.assert_array_equal(estimators._gaussian_block(nodes, obs, h), want)
 
     def test_threads_sharing_an_operator_match_serial(self):
         x, serial_op, r = _fresh_problem()

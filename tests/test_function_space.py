@@ -309,6 +309,15 @@ def test_shape_constraint_validation():
         ShapeConstraint("derivative_sign", order=0)
     with pytest.raises(ValueError):
         ShapeConstraint("convex", tolerance=-1e-9)
+    # a NaN tolerance made check_shape fail increasing functions with a
+    # positive slack, an infinite one passed anything, and a fractional
+    # order died as a TypeError inside np.diff
+    for tol in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            ShapeConstraint("monotone_nondecreasing", tolerance=tol)
+    for order in (1.5, 2.0, "3", True):
+        with pytest.raises(ValueError, match="order"):
+            ShapeConstraint("derivative_sign", order=order)
 
 
 def test_difference_orders():
@@ -316,6 +325,7 @@ def test_difference_orders():
     assert ShapeConstraint("monotone_nondecreasing").difference_order == 1
     assert ShapeConstraint("convex").difference_order == 2
     assert ShapeConstraint("derivative_sign", order=4).difference_order == 4
+    assert ShapeConstraint("derivative_sign", order=np.int64(3)).difference_order == 3
 
 
 def test_grid_function_validation(gauss128):

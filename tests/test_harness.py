@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -355,6 +356,29 @@ class TestMontecarlo:
         assert {row[1] for row in ok} == {0, 2}
         means = [row for row in table.rows if row[0] == "mean"]
         assert means and all(math.isfinite(row[5]) for row in means)
+
+    def test_previous_operator_is_released_before_the_next_sample(self, monkeypatch):
+        # each operator carries its cached factorizations; keeping it alive
+        # into the next replication raises the run's peak memory
+        import npivlab.harness as harness_mod
+
+        real_sample, real_plugin = harness_mod.sample, harness_mod.sampled_plugin
+        operators = []
+        alive_at_draw = []
+
+        def watched_sample(dgp, m, seed):
+            alive_at_draw.append([ref() is not None for ref in operators])
+            return real_sample(dgp, m, seed)
+
+        def watched_plugin(draws, x_grid, z_grid):
+            op, r_hat = real_plugin(draws, x_grid, z_grid)
+            operators.append(weakref.ref(op))
+            return op, r_hat
+
+        monkeypatch.setattr(harness_mod, "sample", watched_sample)
+        monkeypatch.setattr(harness_mod, "sampled_plugin", watched_plugin)
+        run_montecarlo(mc_config(replications=3, sample_size=500))
+        assert alive_at_draw == [[], [False], [False, False]]
 
     def test_replication_rows_depend_only_on_seed_plus_index(self):
         seed = 11

@@ -13,11 +13,24 @@ from npivlab.counterexamples import (
     psi,
 )
 from npivlab.dgp import DgpSpec, make_dgp, phi0_on_grid, sample
-from npivlab.estimators import sampled_plugin
-from npivlab.function_space import GridFunction, GridMismatchError, l2_norm, make_grid
+from npivlab.estimators import (
+    ConstraintSet,
+    constrained_estimate,
+    naive_estimate,
+    sampled_plugin,
+    tir_estimate,
+)
+from npivlab.function_space import (
+    GridFunction,
+    GridMismatchError,
+    ShapeConstraint,
+    l2_norm,
+    make_grid,
+)
 from npivlab.operators import (
     SVD_TRUNCATION_RTOL,
     DiscreteOperator,
+    TruncatedSvd,
     adjoint_apply,
     apply,
     discretize,
@@ -377,6 +390,40 @@ class TestFactorizationCache:
         arrays = [A.kernel_matrix, A.fz_weights, weighted_matrix(A)]
         arrays += [A.svd.U, A.svd.s, A.svd.Vt]
         for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("kind", ["discretized", "sampled_plugin"])
+    def test_every_array_cached_by_the_solvers_is_read_only(self, kind):
+        # a fresh operator of the same kind, so this test sees every entry
+        spec = DgpSpec(rho=0.5)
+        if kind == "discretized":
+            A = discretize(make_dgp(spec), make_grid(64), make_grid(64))
+        else:
+            draws = sample(make_dgp(spec), 2_000, seed=3)
+            A, _ = sampled_plugin(draws, make_grid(64), make_grid(64))
+        r = GridFunction(A.z_grid, A.kernel_matrix @ A.x_grid.nodes)
+        cset = ConstraintSet((ShapeConstraint("monotone_nondecreasing"),))
+        naive_estimate(A, r)
+        tir_estimate(A, r, 1e-4)
+        constrained_estimate(A, r, 0.0, cset)
+        constrained_estimate(A, r, 1e-4, cset)
+        keys = {k if isinstance(k, str) else k[0] for k in A._cache}
+        assert {"derivative_form", "tikhonov_grams", "constraint_rows"} <= keys
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, tuple):
+                for v in value:
+                    yield from arrays(v)
+            elif isinstance(value, TruncatedSvd):
+                yield from (value.U, value.s, value.Vt)
+
+        cached = [a for value in A._cache.values() for a in arrays(value)]
+        assert len(cached) == 8
+        for a in cached:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0

@@ -3,9 +3,15 @@
 The configs are the benchmark workloads of ``perfbench/run.py`` (``montecarlo``
 at seed 0); the recorded SHA-256 of each table's header and data rows (every
 line not starting with ``#``, so the timestamped metadata is ignored) is read
-from ``perfbench/reference.json``. The default ``svd_report`` table, which no
-workload runs, is pinned by a literal digest. A change that moves any printed
-digit of these tables fails here.
+from ``perfbench/reference.json``. The default ``svd_report`` table and the
+``stability_probe`` rows, which no workload runs, are pinned by literal
+digests; the probe is the only pinned path through the lam > 0 constrained
+solve. A change that moves any printed digit of these tables fails here.
+
+The digests hold at OpenBLAS's default thread count. BLAS results depend on
+the thread count: with ``OPENBLAS_NUM_THREADS=1`` the ``compare``,
+``compare_n512`` and ``montecarlo`` cases fail, and did so already when this
+gate was recorded; the ``svd_report`` and probe digests hold at both.
 """
 
 import hashlib
@@ -14,7 +20,11 @@ from pathlib import Path
 
 import pytest
 
+from npivlab.dgp import DgpSpec, make_dgp, phi0_on_grid
+from npivlab.estimators import stability_probe
+from npivlab.function_space import make_grid
 from npivlab.harness import config_from_mapping, emit_csv, run_experiment
+from npivlab.operators import apply, discretize
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -52,6 +62,10 @@ WORKLOAD_CONFIGS = {
 
 SVD_REPORT_DIGEST = "b8488e80b2fba1a10f3f95de1eb8d9edc5169dc7c39304b1463f962f38462c9f"
 
+# stability_probe(A, r, [0.0, 1e-6], 1e-4) on the 64-node rho = 0.5 problem,
+# one "delta,direction,solver,amplification" line per row, floats as .hex().
+STABILITY_PROBE_DIGEST = "645374c2bba7290d6bac8b54540ee5cf2f11ca8addd7e2099550e6f7b217f50a"
+
 
 def _data_digest(path: Path) -> str:
     with open(path, "rb") as handle:
@@ -75,3 +89,16 @@ def test_table_bytes_match_recorded_digest(name, tmp_path):
 def test_svd_report_bytes_match_recorded_digest(tmp_path):
     digest = _table_digest({"experiment": "svd_report"}, tmp_path / "svd.csv")
     assert digest == SVD_REPORT_DIGEST
+
+
+def test_stability_probe_rows_match_recorded_digest():
+    spec = DgpSpec(rho=0.5)
+    x = make_grid(64)
+    A = discretize(make_dgp(spec), x, make_grid(64))
+    r = apply(A, phi0_on_grid(spec, x))
+    text = "".join(
+        f"{row['delta'].hex()},{row['direction']},{row['solver']},"
+        f"{row['amplification'].hex()}\n"
+        for row in stability_probe(A, r, [0.0, 1e-6], 1e-4)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == STABILITY_PROBE_DIGEST
