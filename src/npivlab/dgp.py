@@ -11,6 +11,7 @@ construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,7 +82,19 @@ def phi0_on_grid(spec: DgpSpec, grid: Grid) -> GridFunction:
 @dataclass(frozen=True)
 class Dgp:
     spec: DgpSpec
-    sup_fxz: float
+
+    @functools.cached_property
+    def sup_fxz(self) -> float:
+        """Sup of the joint density over a 512 x 512 lattice of cell midpoints.
+
+        Computed on first read and kept. The copula density grows toward two
+        corners of the square, so the lattice value understates the true
+        supremum; it is the bound at the resolution the package actually
+        evaluates densities on, and is the constant used by the
+        integral-bound checks.
+        """
+        pts = (np.arange(_LATTICE) + 0.5) / _LATTICE
+        return float(self.f_x_given_z(pts[None, :], pts[:, None]).max())
 
     def f_x_given_z(self, x, z):
         """Conditional density of X given Z: the copula density itself,
@@ -111,17 +124,9 @@ class Sample:
 
 
 def make_dgp(spec: DgpSpec) -> Dgp:
-    """Construct the Dgp with the density's sup bound from a midpoint lattice.
-
-    The sup of the joint density is taken over a 512 x 512 lattice of cell
-    midpoints. The copula density grows toward two corners of the square,
-    so the lattice value understates the true supremum; it is the bound at
-    the resolution the package actually evaluates densities on, and is the
-    constant used by the integral-bound checks.
-    """
-    pts = (np.arange(_LATTICE) + 0.5) / _LATTICE
-    vals = Dgp(spec=spec, sup_fxz=1.0).f_x_given_z(pts[None, :], pts[:, None])
-    return Dgp(spec=spec, sup_fxz=float(vals.max()))
+    """Construct the Dgp. No density is evaluated here: the lattice bound
+    `Dgp.sup_fxz` is computed on its first read."""
+    return Dgp(spec=spec)
 
 
 def sample(dgp: Dgp, m: int, seed: int) -> Sample:

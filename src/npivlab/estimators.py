@@ -157,10 +157,15 @@ def tir_estimate(A: DiscreteOperator, r: GridFunction, lam: float) -> EstimateRe
     if not 0 < lam < math.inf:
         raise ValueError(f"tir_estimate requires 0 < lam < inf, got {lam!r}")
     M, sw, rt = _weighted_system(A, r)
-    n = M.shape[1]
     F = _penalty_form(A)
     MtM, FtF = _tikhonov_grams(A)
-    H = MtM + lam * np.eye(n) + lam * FtF
+    # H = (M^T M + lam I) + lam F^T F in one buffer, each entry rounded as in
+    # that order: off the diagonal the identity adds nothing.
+    H = np.multiply(FtF, lam)
+    diag = MtM.diagonal() + lam
+    diag += H.diagonal()
+    H += MtM
+    np.fill_diagonal(H, diag)
     b = M.T @ rt
     try:
         u = np.linalg.solve(H, b)
@@ -244,7 +249,10 @@ def _solve_inequality_qp(S: np.ndarray, d: np.ndarray, Acon: np.ndarray, maxit: 
     if nc == 0 or float((Acon @ y_unc).min()) >= -1e-9:
         return y_unc, np.zeros(nc), 0, True
     y = np.zeros(nv)
+    # working rows in the order they entered (the order of Acon[work] fixes
+    # the QR's rounding), and the same rows as a mask
     work: list[int] = []
+    in_work = np.zeros(nc, dtype=bool)
     grad_scale = max(1.0, float(np.abs(2.0 * S * d).max()))
     best = (np.inf, y.copy(), np.zeros(nc))
     for it in range(1, maxit + 1):
@@ -273,8 +281,10 @@ def _solve_inequality_qp(S: np.ndarray, d: np.ndarray, Acon: np.ndarray, maxit: 
                 return y, mu, it, True
             q = S * residual_dir
             denom = 2.0 * float(q @ q)
+            # Both exits below leave y where mu was just fitted, so best
+            # already holds the certificate a final fit would give.
             if denom <= 0.0:
-                break
+                return best[1], best[2], maxit, False
             step_unc = -float(grad @ residual_dir) / denom
             along = Acon @ residual_dir
             # rows where the direction points inward only by NNLS rounding
@@ -289,13 +299,13 @@ def _solve_inequality_qp(S: np.ndarray, d: np.ndarray, Acon: np.ndarray, maxit: 
                 step_max = np.inf
             alpha = min(step_unc, step_max)
             if not np.isfinite(alpha) or alpha <= 1e-16:
-                break
+                return best[1], best[2], maxit, False
             y = y + alpha * residual_dir
             work = []
+            in_work[:] = False
             continue
         slack = Acon @ y
         along = Acon @ p
-        in_work = np.isin(np.arange(nc), work)
         mask = (along < -1e-13) & (~in_work)
         if mask.any():
             ratios = np.where(mask, -slack / np.where(mask, along, -1.0), np.inf)
@@ -308,8 +318,10 @@ def _solve_inequality_qp(S: np.ndarray, d: np.ndarray, Acon: np.ndarray, maxit: 
             if len(work) >= nv:
                 grad = 2.0 * S * (S * y - d)
                 mu_w, *_ = np.linalg.lstsq(Acon[work].T, grad, rcond=None)
-                work.pop(int(np.argmin(mu_w)))
-            work.append(int(np.argmin(ratios)))
+                in_work[work.pop(int(np.argmin(mu_w)))] = False
+            entering = int(np.argmin(ratios))
+            work.append(entering)
+            in_work[entering] = True
         else:
             y = y_cand
     grad = 2.0 * S * (S * y - d)

@@ -60,10 +60,14 @@ class Grid:
         return self.nodes.size
 
     def same_as(self, other: "Grid") -> bool:
+        """Same rule, nodes and weights (a grid is always the same as itself)."""
+        if self is other:
+            return True
         return (
             self.rule == other.rule
             and self.size == other.size
             and np.array_equal(self.nodes, other.nodes)
+            and np.array_equal(self.weights, other.weights)
         )
 
 
@@ -267,7 +271,8 @@ def differentiation_matrix(grid: Grid) -> np.ndarray:
 
     On Gauss grids this differentiates the interpolating polynomial
     (spectral accuracy for the analytic functions used here). On uniform
-    grids it applies the same finite-difference stencils as `derivative`.
+    grids it applies the same finite-difference stencils as `derivative`,
+    which need at least 3 nodes.
     """
     n = grid.size
     if grid.rule == GAUSS_LEGENDRE:
@@ -278,6 +283,8 @@ def differentiation_matrix(grid: Grid) -> np.ndarray:
         np.fill_diagonal(D, 0.0)
         np.fill_diagonal(D, -D.sum(axis=1))
         return D
+    if n < 3:
+        raise ValueError("differentiation on a uniform grid requires at least 3 nodes")
     h = grid.nodes[1] - grid.nodes[0]
     D = np.zeros((n, n))
     i = np.arange(1, n - 1)
@@ -293,12 +300,25 @@ def sobolev_norm(f: GridFunction) -> float:
 
     The derivative is taken with `differentiation_matrix` on the function's
     own grid, so on Gauss grids the seminorm of a polynomial is computed to
-    near machine precision.
+    near machine precision. The matrix of the most recent grid is kept, so
+    norms of many functions on one grid build it once.
     """
-    D = differentiation_matrix(f.grid)
+    grid = f.grid
+    D = _last_differentiation_matrix(
+        grid.rule, grid.nodes.tobytes(), grid.weights.tobytes()
+    )
     df = D @ f.values
     w = f.grid.weights
     return float(np.sqrt(np.dot(w, f.values**2) + np.dot(w, df**2)))
+
+
+# One entry: a run takes Sobolev norms on one grid, and a larger bound would
+# keep an n-by-n matrix per grid alive.
+@functools.lru_cache(maxsize=1)
+def _last_differentiation_matrix(rule: str, nodes: bytes, weights: bytes) -> np.ndarray:
+    D = differentiation_matrix(Grid(np.frombuffer(nodes), np.frombuffer(weights), rule))
+    D.flags.writeable = False
+    return D
 
 
 def default_inspection_grid(size: int = DEFAULT_INSPECTION_SIZE) -> Grid:

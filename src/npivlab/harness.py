@@ -49,6 +49,7 @@ from .function_space import (
     check_shape,
     l2_norm,
     make_grid,
+    resample,
     sobolev_norm,
 )
 from .operators import apply, discretize, q_infinity, svd_report
@@ -220,14 +221,20 @@ def _require(cfg: ExperimentConfig, experiment: str):
         )
 
 
-def _problem(cfg: ExperimentConfig):
-    dgp = make_dgp(cfg.dgp)
+def _grids(cfg: ExperimentConfig):
+    """(x_grid, z_grid); one shared grid when the two sizes agree."""
     x_grid = make_grid(cfg.quadrature_size)
-    z_grid = make_grid(cfg.z_size)
+    if cfg.z_size == cfg.quadrature_size:
+        return x_grid, x_grid
+    return x_grid, make_grid(cfg.z_size)
+
+
+def _problem(cfg: ExperimentConfig, dgp):
+    x_grid, z_grid = _grids(cfg)
     phi0 = phi0_on_grid(cfg.dgp, x_grid)
     A = discretize(dgp, x_grid, z_grid)
     r = apply(A, phi0)
-    return dgp, x_grid, z_grid, phi0, A, r
+    return x_grid, z_grid, phi0, A, r
 
 
 def run_illposedness_demo(cfg: ExperimentConfig) -> ResultTable:
@@ -240,7 +247,11 @@ def run_illposedness_demo(cfg: ExperimentConfig) -> ResultTable:
     shape checks of the perturbed function itself.
     """
     _require(cfg, "illposedness_demo")
-    dgp, x_grid, _, phi0, A, r = _problem(cfg)
+    dgp = make_dgp(cfg.dgp)
+    # Evaluated here, so the density lattice is freed before the problem's
+    # arrays are built.
+    density_sup = dgp.sup_fxz
+    x_grid, _, phi0, A, r = _problem(cfg, dgp)
     inspection = make_grid(cfg.inspection_size, UNIFORM_TRAPEZOID)
     checks = [
         ShapeConstraint("monotone_nondecreasing"),
@@ -252,8 +263,9 @@ def run_illposedness_demo(cfg: ExperimentConfig) -> ResultTable:
         cspec = CounterexampleSpec(cfg.family, n, cfg.epsilon)
         phi_n = perturb(phi0, cspec)
         direction = psi(cspec, x_grid)
-        bound = analytic_sup_A_psi_bound(cspec, dgp.sup_fxz)
-        flags = [bool(check_shape(phi_n, c, inspection)) for c in checks]
+        bound = analytic_sup_A_psi_bound(cspec, density_sup)
+        on_inspection = resample(phi_n, inspection)
+        flags = [bool(check_shape(on_inspection, c, inspection)) for c in checks]
         rows.append(
             (
                 n,
@@ -311,7 +323,7 @@ def run_estimator_comparison(cfg: ExperimentConfig) -> ResultTable:
     flagged through the converged column and the run continues.
     """
     _require(cfg, "estimator_comparison")
-    dgp, x_grid, z_grid, phi0, A, r = _problem(cfg)
+    x_grid, z_grid, phi0, A, r = _problem(cfg, make_dgp(cfg.dgp))
     inspection = make_grid(cfg.inspection_size, UNIFORM_TRAPEZOID)
     cset = ConstraintSet(
         constraints=tuple(parse_constraint(name) for name in cfg.constraints),
@@ -319,8 +331,9 @@ def run_estimator_comparison(cfg: ExperimentConfig) -> ResultTable:
     )
 
     def shape_ok(result):
+        on_inspection = resample(result.phi_hat, inspection)
         return all(
-            bool(check_shape(result.phi_hat, c, inspection)) for c in cset.constraints
+            bool(check_shape(on_inspection, c, inspection)) for c in cset.constraints
         )
 
     solvers = [("naive", 0.0, lambda rr: naive_estimate(A, rr))]
@@ -384,8 +397,7 @@ def run_montecarlo(cfg: ExperimentConfig) -> ResultTable:
     """
     _require(cfg, "montecarlo")
     dgp = make_dgp(cfg.dgp)
-    x_grid = make_grid(cfg.quadrature_size)
-    z_grid = make_grid(cfg.z_size)
+    x_grid, z_grid = _grids(cfg)
     phi0 = phi0_on_grid(cfg.dgp, x_grid)
     interior = (x_grid.nodes >= 0.1) & (x_grid.nodes <= 0.9)
     weight_sum = float(x_grid.weights[interior].sum())

@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import multivariate_normal, norm
 
 from npivlab.dgp import (
+    Dgp,
     DgpSpec,
     make_dgp,
     phi0_callable,
@@ -67,6 +68,22 @@ def test_density_sup_is_bounded(rho):
     sup = make_dgp(DgpSpec(rho=rho)).sup_fxz
     assert np.isfinite(sup)
     assert 1.0 <= sup < 1e3
+
+
+def test_make_dgp_evaluates_no_density_until_the_sup_is_read(monkeypatch):
+    calls = []
+    original = Dgp.f_x_given_z
+
+    def counting(self, x, z):
+        calls.append(np.broadcast(x, z).shape)
+        return original(self, x, z)
+
+    monkeypatch.setattr(Dgp, "f_x_given_z", counting)
+    dgp = make_dgp(DgpSpec(rho=0.5))
+    assert calls == []
+    first = dgp.sup_fxz
+    assert calls == [(512, 512)]
+    assert dgp.sup_fxz == first and len(calls) == 1
 
 
 def test_stronger_dependence_has_larger_sup():

@@ -215,6 +215,32 @@ class TestConstrained:
         with pytest.raises(ValueError, match="synthetic nnls failure"):
             constrained_estimate(A, perturbed, 0.0, MONOTONE_SET)
 
+    @pytest.mark.parametrize("n", [5, 20])
+    def test_a_stalled_solve_fits_no_multipliers_twice(self, n, monkeypatch):
+        # At N = 32 under convexity the active set stalls: it stops where it
+        # last fitted multipliers and returns that fit as its best iterate.
+        spec = DgpSpec(rho=0.5)
+        x = make_grid(32)
+        A = discretize(make_dgp(spec), x, x)
+        shift = apply(A, psi(CounterexampleSpec(MONOTONE, n), x)).values
+        r = GridFunction(x, apply(A, phi0_on_grid(spec, x)).values + 0.1 * shift)
+        convex = ConstraintSet(
+            constraints=(ShapeConstraint("convex"),),
+            inspection_grid=make_grid(201, UNIFORM_TRAPEZOID),
+        )
+        seen = []
+        original = estimators.nnls
+
+        def recording(E, f, **kwargs):
+            seen.append(E.tobytes() + f.tobytes())
+            return original(E, f, **kwargs)
+
+        monkeypatch.setattr(estimators, "nnls", recording)
+        result = constrained_estimate(A, r, 0.0, convex)
+        assert not result.converged
+        assert seen
+        assert len(set(seen)) == len(seen)
+
 
 @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
 @pytest.mark.parametrize("entry", ["tir", "constrained", "probe"])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from npivlab import function_space
 from npivlab.function_space import (
     GAUSS_LEGENDRE,
     UNIFORM_TRAPEZOID,
@@ -88,6 +89,20 @@ def test_inner_product_requires_same_grid(gauss128):
     g = GridFunction(other, np.ones(64))
     with pytest.raises(GridMismatchError):
         inner_product(f, g)
+
+
+def test_grids_with_equal_nodes_and_other_weights_are_not_the_same():
+    nodes = np.array([0.1, 0.5, 0.9])
+    a = Grid(nodes, np.array([0.25, 0.5, 0.25]), GAUSS_LEGENDRE)
+    b = Grid(nodes, np.array([0.2, 0.6, 0.2]), GAUSS_LEGENDRE)
+    assert a.same_as(a)
+    assert a.same_as(Grid(nodes.copy(), a.weights.copy(), GAUSS_LEGENDRE))
+    assert not a.same_as(b) and not b.same_as(a)
+    f = GridFunction(a, np.array([1.0, 2.0, 3.0]))
+    g = GridFunction(b, np.array([3.0, 1.0, 2.0]))
+    for left, right in ((f, g), (g, f)):
+        with pytest.raises(GridMismatchError):
+            inner_product(left, right)
 
 
 finite_arrays = st.lists(
@@ -214,6 +229,32 @@ def test_differentiation_matrix_uniform_matches_stencil_loop():
     want[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
     want[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
     np.testing.assert_array_equal(differentiation_matrix(g), want)
+
+
+def test_two_node_uniform_grid_cannot_be_differentiated():
+    g = make_grid(2, UNIFORM_TRAPEZOID)
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        differentiation_matrix(g)
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        sobolev_norm(GridFunction(g, np.array([0.0, 1.0])))
+
+
+def test_sobolev_norm_builds_the_matrix_once_per_grid(gauss128, monkeypatch):
+    calls = []
+    original = function_space.differentiation_matrix
+
+    def counting(grid):
+        calls.append(grid.size)
+        return original(grid)
+
+    monkeypatch.setattr(function_space, "differentiation_matrix", counting)
+    function_space._last_differentiation_matrix.cache_clear()
+    small = make_grid(16)
+    for grid in (gauss128, gauss128, small, small, gauss128):
+        want = np.sqrt(1.0 / 5.0 + 4.0 / 3.0)
+        assert abs(sobolev_norm(GridFunction(grid, grid.nodes**2)) - want) < 1e-12
+    # only the latest grid's matrix is kept
+    assert calls == [128, 16, 128]
 
 
 def test_sobolev_norm_of_square(gauss128):

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from npivlab import function_space
 from npivlab.dgp import DgpSpec, make_dgp
 from npivlab.estimators import DegenerateSampleError
 from npivlab.function_space import make_grid, sobolev_norm
@@ -695,3 +696,49 @@ class TestConfigLoading:
         path.write_text("[1, 2, 3]")
         with pytest.raises(ConfigError, match="config root must be a JSON object"):
             load_config(str(path))
+
+
+class TestRunInvariantWork:
+    """Work that depends on the config alone is done once per run."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ExperimentConfig(
+                experiment="estimator_comparison",
+                quadrature_size=32,
+                z_size=32,
+                inspection_size=101,
+                n_max=5,
+            ),
+            mc_config(quadrature_size=32, z_size=32, sample_size=500),
+        ],
+        ids=["estimator_comparison", "montecarlo"],
+    )
+    def test_equal_x_and_z_sizes_share_one_gauss_rule(self, cfg, monkeypatch):
+        calls = self._count(monkeypatch, np.polynomial.legendre, "leggauss")
+        run_experiment(cfg)
+        assert calls == [(32,)]
+
+    def test_demo_builds_one_differentiation_matrix(self, monkeypatch):
+        builds = self._count(monkeypatch, function_space, "differentiation_matrix")
+        function_space._last_differentiation_matrix.cache_clear()
+        resamples = self._count(monkeypatch, function_space, "resample_matrix")
+        cfg = demo_config(quadrature_size=32, inspection_size=101, n_max=20)
+        table = run_illposedness_demo(cfg)
+        assert len(table.rows) == 21
+        assert len(builds) == 1
+        # each perturbed function is resampled once for its three shape checks
+        assert len(resamples) == 21

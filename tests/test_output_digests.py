@@ -3,15 +3,17 @@
 The configs are the benchmark workloads of ``perfbench/run.py`` (``montecarlo``
 at seed 0); the recorded SHA-256 of each table's header and data rows (every
 line not starting with ``#``, so the timestamped metadata is ignored) is read
-from ``perfbench/reference.json``. The default ``svd_report`` table and the
-``stability_probe`` rows, which no workload runs, are pinned by literal
-digests; the probe is the only pinned path through the lam > 0 constrained
-solve. A change that moves any printed digit of these tables fails here.
+from ``perfbench/reference.json``. The default ``svd_report`` table, an
+``estimator_comparison`` on unequal x and z grids with three constraint
+kinds, and the ``stability_probe`` rows, which no workload runs, are pinned
+by literal digests; the probe is the only pinned path through the lam > 0
+constrained solve. A change that moves any printed digit of these tables
+fails here.
 
 The digests hold at OpenBLAS's default thread count. BLAS results depend on
 the thread count: with ``OPENBLAS_NUM_THREADS=1`` the ``compare``,
 ``compare_n512`` and ``montecarlo`` cases fail, and did so already when this
-gate was recorded; the ``svd_report`` and probe digests hold at both.
+gate was recorded; the ``svd_report``, mixed-comparison and probe digests hold at both.
 """
 
 import hashlib
@@ -62,6 +64,17 @@ WORKLOAD_CONFIGS = {
 
 SVD_REPORT_DIGEST = "b8488e80b2fba1a10f3f95de1eb8d9edc5169dc7c39304b1463f962f38462c9f"
 
+# Unequal quadrature and z sizes, two lambdas, and constraints of difference
+# orders 2, 0 and 3; every constrained row stops without convergence.
+MIXED_COMPARISON_CONFIG = {
+    "experiment": "estimator_comparison",
+    "quadrature_size": 96,
+    "z_size": 64,
+    "lambdas": [1e-3, 1e-5],
+    "constraints": ["convex", "nonnegative", "derivative_sign_3"],
+}
+MIXED_COMPARISON_DIGEST = "f1d6df91ea456dd2de25dc8f3cd358714e5e37f3ae6a987d442967e729976abf"
+
 # stability_probe(A, r, [0.0, 1e-6], 1e-4) on the 64-node rho = 0.5 problem,
 # one "delta,direction,solver,amplification" line per row, floats as .hex().
 STABILITY_PROBE_DIGEST = "645374c2bba7290d6bac8b54540ee5cf2f11ca8addd7e2099550e6f7b217f50a"
@@ -89,6 +102,11 @@ def test_table_bytes_match_recorded_digest(name, tmp_path):
 def test_svd_report_bytes_match_recorded_digest(tmp_path):
     digest = _table_digest({"experiment": "svd_report"}, tmp_path / "svd.csv")
     assert digest == SVD_REPORT_DIGEST
+
+
+def test_mixed_comparison_bytes_match_recorded_digest(tmp_path):
+    digest = _table_digest(MIXED_COMPARISON_CONFIG, tmp_path / "mixed.csv")
+    assert digest == MIXED_COMPARISON_DIGEST
 
 
 def test_stability_probe_rows_match_recorded_digest():
