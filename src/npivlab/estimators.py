@@ -241,7 +241,8 @@ def _solve_inequality_qp(S: np.ndarray, d: np.ndarray, Acon: np.ndarray, maxit: 
     feasible descent direction (by the NNLS optimality conditions, the
     residual has nonnegative inner product with every active row).
 
-    Returns (y, multipliers, iterations, converged).
+    Returns (y, multipliers, iterations, converged); iterations is the loop
+    step at which the solve stopped, maxit when it hit the cap.
     """
     nv = S.size
     nc = Acon.shape[0]
@@ -284,7 +285,7 @@ def _solve_inequality_qp(S: np.ndarray, d: np.ndarray, Acon: np.ndarray, maxit: 
             # Both exits below leave y where mu was just fitted, so best
             # already holds the certificate a final fit would give.
             if denom <= 0.0:
-                return best[1], best[2], maxit, False
+                return best[1], best[2], it, False
             step_unc = -float(grad @ residual_dir) / denom
             along = Acon @ residual_dir
             # rows where the direction points inward only by NNLS rounding
@@ -299,7 +300,7 @@ def _solve_inequality_qp(S: np.ndarray, d: np.ndarray, Acon: np.ndarray, maxit: 
                 step_max = np.inf
             alpha = min(step_unc, step_max)
             if not np.isfinite(alpha) or alpha <= 1e-16:
-                return best[1], best[2], maxit, False
+                return best[1], best[2], it, False
             y = y + alpha * residual_dir
             work = []
             in_work[:] = False
@@ -409,16 +410,34 @@ def constrained_estimate(
     )
 
 
-def _gaussian_block(nodes: np.ndarray, obs: np.ndarray, h: float) -> np.ndarray:
-    """exp(-0.5 ((nodes[i] - obs[j]) / h)^2), formed in one buffer."""
-    out = np.subtract.outer(nodes, obs)
+def _gaussian_block(
+    nodes: np.ndarray, obs: np.ndarray, h: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """exp(-0.5 ((nodes[i] - obs[j]) / h)^2), formed in one buffer (out, if given)."""
+    out = np.subtract.outer(nodes, obs, out=out)
     out /= h
     np.square(out, out=out)
     out *= -0.5
     return np.exp(out, out=out)
 
 
-def sampled_plugin(sample, x_grid: Grid, z_grid: Grid, h_x=None, h_z=None):
+def _check_work(work, shapes) -> None:
+    """Reject a kernel-block buffer pair that sampled_plugin cannot fill."""
+    if len(work) != 2 or not all(
+        isinstance(buf, np.ndarray)
+        and buf.shape == shape
+        and buf.dtype == np.float64
+        and buf.flags.c_contiguous
+        for buf, shape in zip(work, shapes)
+    ):
+        raise ValueError(
+            f"work must be two C-contiguous float64 arrays of shapes {shapes}"
+        )
+    if np.may_share_memory(*work):
+        raise ValueError("work buffers must not overlap")
+
+
+def sampled_plugin(sample, x_grid: Grid, z_grid: Grid, h_x=None, h_z=None, work=None):
     """Kernel plug-in operator and reduced form from a finite sample.
 
     The joint density of (X, Z) is estimated by a product-Gaussian kernel
@@ -430,10 +449,19 @@ def sampled_plugin(sample, x_grid: Grid, z_grid: Grid, h_x=None, h_z=None):
     if more than half the nodes are flagged the sample is declared
     degenerate. Bandwidths h_x, h_z default to the 1.06 * sigma * m^(-1/5)
     rule of thumb.
+
+    When work is given, a pair of distinct C-contiguous float64 arrays of
+    shapes (x_grid.size, m) and (z_grid.size, m), the two Gaussian kernel
+    blocks are built in it instead of in fresh arrays. It is scratch:
+    nothing returned refers to it, and each thread needs its own pair.
     """
     m = sample.size
     if m < 50:
         raise ValueError("sampled_plugin needs at least 50 observations")
+    if work is None:
+        work = (None, None)
+    else:
+        _check_work(work, ((x_grid.size, m), (z_grid.size, m)))
     for h in (h_x, h_z):
         if h is not None and not 0 < h < math.inf:
             raise ValueError(f"bandwidths must be positive and finite, got {h!r}")
@@ -441,8 +469,8 @@ def sampled_plugin(sample, x_grid: Grid, z_grid: Grid, h_x=None, h_z=None):
     hz = h_z if h_z is not None else 1.06 * float(np.std(sample.z)) * m**-0.2
     if not (hx > 1e-12 and hz > 1e-12):
         raise DegenerateSampleError("sample has (near) zero spread in x or z")
-    gauss_x = _gaussian_block(x_grid.nodes, sample.x, hx)
-    gauss_z = _gaussian_block(z_grid.nodes, sample.z, hz)
+    gauss_x = _gaussian_block(x_grid.nodes, sample.x, hx, out=work[0])
+    gauss_z = _gaussian_block(z_grid.nodes, sample.z, hz, out=work[1])
     norm = 1.0 / (m * hx * hz * 2.0 * math.pi)
     fxz_hat = norm * (gauss_z @ gauss_x.T)
     fz_hat = fxz_hat @ x_grid.weights

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -215,8 +216,8 @@ class TestConstrained:
         with pytest.raises(ValueError, match="synthetic nnls failure"):
             constrained_estimate(A, perturbed, 0.0, MONOTONE_SET)
 
-    @pytest.mark.parametrize("n", [5, 20])
-    def test_a_stalled_solve_fits_no_multipliers_twice(self, n, monkeypatch):
+    @staticmethod
+    def _stalling_problem(n):
         # At N = 32 under convexity the active set stalls: it stops where it
         # last fitted multipliers and returns that fit as its best iterate.
         spec = DgpSpec(rho=0.5)
@@ -228,6 +229,11 @@ class TestConstrained:
             constraints=(ShapeConstraint("convex"),),
             inspection_grid=make_grid(201, UNIFORM_TRAPEZOID),
         )
+        return A, r, convex
+
+    @pytest.mark.parametrize("n", [5, 20])
+    def test_a_stalled_solve_fits_no_multipliers_twice(self, n, monkeypatch):
+        A, r, convex = self._stalling_problem(n)
         seen = []
         original = estimators.nnls
 
@@ -240,6 +246,12 @@ class TestConstrained:
         assert not result.converged
         assert seen
         assert len(set(seen)) == len(seen)
+
+    def test_a_stalled_solve_reports_the_steps_it_took(self):
+        A, r, convex = self._stalling_problem(5)
+        result = constrained_estimate(A, r, 0.0, convex)
+        assert not result.converged
+        assert result.iterations == 16
 
 
 @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
@@ -357,6 +369,67 @@ class TestSampledPlugin:
         A_hat, r_hat = sampled_plugin(s, make_grid(32), make_grid(32), h_x=0.1, h_z=0.1)
         assert np.abs(A_hat.kernel_matrix.sum(axis=1) - 1.0).max() < 1e-9
         assert np.all(np.isfinite(r_hat.values))
+
+    @staticmethod
+    def _grids(kind):
+        if kind == "equal":
+            grid = make_grid(128)
+            return grid, grid
+        return make_grid(64), make_grid(48, rule=UNIFORM_TRAPEZOID)
+
+    @staticmethod
+    def _outputs(op, r_hat):
+        return (op.kernel_matrix, op.fz_weights, op.flagged_z, r_hat.values)
+
+    @pytest.mark.parametrize("kind", ["equal", "unequal"])
+    def test_work_buffers_give_bit_identical_results(self, kind):
+        x_grid, z_grid = self._grids(kind)
+        s = sample(make_dgp(DgpSpec(rho=0.5)), 2_000, seed=3)
+        want = self._outputs(*sampled_plugin(s, x_grid, z_grid))
+        # a reused pair still holds the previous sample's blocks
+        work = tuple(np.full((g.size, s.size), np.nan) for g in (x_grid, z_grid))
+        got = self._outputs(*sampled_plugin(s, x_grid, z_grid, work=work))
+        for w, g in zip(want, got):
+            np.testing.assert_array_equal(g, w)
+        # nothing returned refers to the buffers
+        for buf in work:
+            buf.fill(np.nan)
+        for w, g in zip(want, got):
+            np.testing.assert_array_equal(g, w)
+
+    def test_unusable_work_buffers_are_rejected(self):
+        s = sample(make_dgp(DgpSpec(rho=0.5)), 100, seed=0)
+        x_grid, z_grid = make_grid(32), make_grid(24)
+        good_x, good_z = np.empty((32, 100)), np.empty((24, 100))
+        shared = np.empty((32, 100))
+        for work in (
+            (np.empty((32, 99)), good_z),
+            (good_x, np.empty((100, 24))),
+            (good_z, good_x),
+            (good_x, np.empty((24, 100), dtype=np.float32)),
+            (np.empty((32, 100), order="F"), good_z),
+            (good_x,),
+        ):
+            with pytest.raises(ValueError, match="work"):
+                sampled_plugin(s, x_grid, z_grid, work=work)
+        with pytest.raises(ValueError, match="overlap"):
+            sampled_plugin(s, x_grid, x_grid, work=(shared, shared))
+
+    def test_work_buffers_keep_the_blocks_out_of_the_call_peak(self):
+        m, grid = 10_000, make_grid(128)
+        s = sample(make_dgp(DgpSpec(rho=0.5)), m, seed=3)
+        block = grid.size * m * 8
+        work = (np.empty((grid.size, m)), np.empty((grid.size, m)))
+        peaks = []
+        for w in (work, None):
+            tracemalloc.start()
+            try:
+                sampled_plugin(s, grid, grid, work=w)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < block
+        assert peaks[1] >= 2 * block
 
     def test_input_validation(self):
         dgp = make_dgp(DgpSpec(rho=0.5))

@@ -343,10 +343,10 @@ class TestMontecarlo:
         real = harness_mod.sampled_plugin
         cfg = mc_config(replications=3, sample_size=500)
 
-        def flaky(draws, x_grid, z_grid):
+        def flaky(draws, x_grid, z_grid, work=None):
             if draws.seed == cfg.seed + 1:
                 raise DegenerateSampleError("synthetic degenerate draw")
-            return real(draws, x_grid, z_grid)
+            return real(draws, x_grid, z_grid, work=work)
 
         monkeypatch.setattr(harness_mod, "sampled_plugin", flaky)
         table = run_montecarlo(cfg)
@@ -371,8 +371,8 @@ class TestMontecarlo:
             alive_at_draw.append([ref() is not None for ref in operators])
             return real_sample(dgp, m, seed)
 
-        def watched_plugin(draws, x_grid, z_grid):
-            op, r_hat = real_plugin(draws, x_grid, z_grid)
+        def watched_plugin(draws, x_grid, z_grid, work=None):
+            op, r_hat = real_plugin(draws, x_grid, z_grid, work=work)
             operators.append(weakref.ref(op))
             return op, r_hat
 
@@ -380,6 +380,38 @@ class TestMontecarlo:
         monkeypatch.setattr(harness_mod, "sampled_plugin", watched_plugin)
         run_montecarlo(mc_config(replications=3, sample_size=500))
         assert alive_at_draw == [[], [False], [False, False]]
+
+    def test_every_replication_fills_the_same_buffers(self, monkeypatch):
+        import npivlab.harness as harness_mod
+
+        real = harness_mod.sampled_plugin
+        seen = []
+
+        def recording(draws, x_grid, z_grid, work=None):
+            seen.append(work)
+            return real(draws, x_grid, z_grid, work=work)
+
+        monkeypatch.setattr(harness_mod, "sampled_plugin", recording)
+        run_montecarlo(
+            mc_config(quadrature_size=64, z_size=48, replications=3, sample_size=500)
+        )
+        assert len(seen) == 3
+        assert [work[0].shape for work in seen] == [(64, 500)] * 3
+        assert [work[1].shape for work in seen] == [(48, 500)] * 3
+        assert all(work[0] is seen[0][0] and work[1] is seen[0][1] for work in seen)
+
+    def test_rows_equal_a_run_that_allocates_its_blocks(self, monkeypatch):
+        import npivlab.harness as harness_mod
+
+        cfg = mc_config(quadrature_size=64, z_size=48, replications=3, sample_size=500)
+        reused = run_montecarlo(cfg)
+        real = harness_mod.sampled_plugin
+
+        def allocating(draws, x_grid, z_grid, work=None):
+            return real(draws, x_grid, z_grid)
+
+        monkeypatch.setattr(harness_mod, "sampled_plugin", allocating)
+        assert run_montecarlo(cfg).rows == reused.rows
 
     def test_replication_rows_depend_only_on_seed_plus_index(self):
         seed = 11

@@ -1,19 +1,21 @@
 """Byte gate on the emitted tables: data rows must match the recorded digests.
 
 The configs are the benchmark workloads of ``perfbench/run.py`` (``montecarlo``
-at seed 0); the recorded SHA-256 of each table's header and data rows (every
-line not starting with ``#``, so the timestamped metadata is ignored) is read
-from ``perfbench/reference.json``. The default ``svd_report`` table, an
-``estimator_comparison`` on unequal x and z grids with three constraint
-kinds, and the ``stability_probe`` rows, which no workload runs, are pinned
-by literal digests; the probe is the only pinned path through the lam > 0
-constrained solve. A change that moves any printed digit of these tables
-fails here.
+at seed 0, and again at seed 63, so two independent draw sequences pass
+through the kernel-block buffers a run reuses); the recorded SHA-256 of each
+table's header and data rows (every line not starting with ``#``, so the
+timestamped metadata is ignored) is read from ``perfbench/reference.json``.
+The default ``svd_report`` table, an ``estimator_comparison`` on unequal x
+and z grids with three constraint kinds, and the ``stability_probe`` rows,
+which no workload runs, are pinned by literal digests; the probe is the only
+pinned path through the lam > 0 constrained solve. A change that moves any
+printed digit of these tables fails here.
 
 The digests hold at OpenBLAS's default thread count. BLAS results depend on
 the thread count: with ``OPENBLAS_NUM_THREADS=1`` the ``compare``,
-``compare_n512`` and ``montecarlo`` cases fail, and did so already when this
-gate was recorded; the ``svd_report``, mixed-comparison and probe digests hold at both.
+``compare_n512`` and both ``montecarlo`` cases fail, and did so already when
+this gate was recorded; the ``svd_report``, mixed-comparison and probe
+digests hold at both.
 """
 
 import hashlib
@@ -91,12 +93,22 @@ def _table_digest(config: dict, out: Path) -> str:
     return _data_digest(out)
 
 
+def _recorded_digest(name: str, seed: int):
+    recorded = json.loads(REFERENCE.read_text(encoding="utf-8"))["digests"][name]
+    return recorded[str(seed)] if name == "montecarlo" else recorded
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
 def test_table_bytes_match_recorded_digest(name, tmp_path):
-    recorded = json.loads(REFERENCE.read_text(encoding="utf-8"))["digests"][name]
-    if name == "montecarlo":
-        recorded = recorded[str(WORKLOAD_CONFIGS[name]["seed"])]
-    assert _table_digest(WORKLOAD_CONFIGS[name], tmp_path / f"{name}.csv") == recorded
+    config = WORKLOAD_CONFIGS[name]
+    recorded = _recorded_digest(name, config.get("seed", 0))
+    assert _table_digest(config, tmp_path / f"{name}.csv") == recorded
+
+
+def test_montecarlo_bytes_at_a_second_seed_match_recorded_digest(tmp_path):
+    config = dict(WORKLOAD_CONFIGS["montecarlo"], seed=63)
+    recorded = _recorded_digest("montecarlo", 63)
+    assert _table_digest(config, tmp_path / "montecarlo_63.csv") == recorded
 
 
 def test_svd_report_bytes_match_recorded_digest(tmp_path):
