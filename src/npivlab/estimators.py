@@ -8,10 +8,11 @@ Four routes are implemented on top of the discretized operator:
   * naive_estimate: minimum-norm least squares through a truncated SVD at
     machine tolerance. Faithful to the data and catastrophically unstable,
     since retained singular values reach the truncation floor.
-  * constrained_estimate: the same least-squares objective under linear
-    shape inequalities (nonnegativity, monotonicity, convexity) enforced on
-    a uniform inspection grid, solved by a primal active-set method in the
-    retained singular subspace with a KKT certificate.
+  * constrained_estimate: the naive solver's unregularized least-squares
+    objective under linear shape inequalities (nonnegativity, monotonicity,
+    convexity) enforced on a uniform inspection grid, solved by a primal
+    active-set method in the retained singular subspace with a KKT
+    certificate.
   * sampled_plugin: kernel plug-in estimates of the operator and reduced
     form from a finite sample, feeding the same solvers.
 
@@ -41,7 +42,6 @@ from .operators import (
     SVD_TRUNCATION_RTOL,
     DiscreteOperator,
     _read_only,
-    _truncation_rank,
     apply,
     weighted_matrix,
 )
@@ -349,60 +349,43 @@ def _qp_certificate(S, d, Acon, y, mu):
 def constrained_estimate(
     A: DiscreteOperator,
     r: GridFunction,
-    lam: float,
     constraints: ConstraintSet,
     maxit: int = QP_MAX_ITERATIONS,
 ) -> EstimateResult:
-    """Least-squares solve under shape inequalities, with a KKT certificate.
+    """Shape-constrained least squares, no penalty, with a KKT certificate.
 
-    Minimizes the same objective as tir_estimate for 0 <= lam < inf (lam = 0
-    reduces it to the plain data fit) subject to the constraint rows evaluated
-    on the inspection grid. The problem is projected onto the singular
-    subspace retained at the truncation tolerance; within that subspace the
-    active-set solver returns a certified optimum or, if the iteration cap
-    is hit, the best iterate found with converged = False and the honest
-    residual.
+    Minimizes the data fit ||M u - rt||^2 (the naive solver's objective)
+    subject to the constraint rows evaluated on the inspection grid. The
+    problem is projected onto the operator's retained singular subspace;
+    within it the active-set solver returns a certified optimum or, if it
+    stalls or hits the iteration cap, the best iterate found with
+    converged = False and the honest residual.
     """
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"constrained_estimate requires 0 <= lam < inf, got {lam!r}")
     M, sw, rt = _weighted_system(A, r)
-    n = M.shape[1]
-    if lam > 0:
-        root = math.sqrt(lam)
-        B = np.vstack([M, root * np.eye(n), root * _penalty_form(A)])
-        b = np.concatenate([rt, np.zeros(2 * n)])
-        U, s, Vt = np.linalg.svd(B, full_matrices=False)
-        J = _truncation_rank(s)
-    else:
-        # With lam = 0 the stacked matrix is M itself: reuse its SVD.
-        B, b = M, rt
-        f = A.svd
-        U, s, Vt, J = f.U, f.s, f.Vt, f.rank
+    f = A.svd
+    J = f.rank
     if J == 0:
         return EstimateResult(
-            phi_hat=GridFunction(A.x_grid, np.zeros(n)),
-            objective=float(b @ b),
+            phi_hat=GridFunction(A.x_grid, np.zeros(M.shape[1])),
+            objective=float(rt @ rt),
             kkt_residual=0.0,
             condition_diagnostic=0.0,
         )
-    Sj = s[:J]
-    d = U[:, :J].T @ b
-    V = Vt[:J].T
-    if lam > 0:
-        A_red = constraints.rows(A.x_grid, V)
-    else:
-        # V is the operator's own, so the rows depend on it and the set alone.
-        # A Grid holds arrays, so the set is keyed by value, not hashed.
-        grid = constraints.inspection_grid
-        A_red = A.memo(
-            ("constraint_rows", constraints.constraints, grid.rule, grid.nodes.tobytes()),
-            lambda: _read_only(constraints.rows(A.x_grid, V)),
-        )
+    Sj = f.s[:J]
+    d = f.U[:, :J].T @ rt
+    V = f.Vt[:J].T
+    # V is the operator's own, so the rows depend on it and the set alone.
+    # A Grid holds arrays, so the set is keyed by value, not hashed.
+    grid = constraints.inspection_grid
+    A_red = A.memo(
+        ("constraint_rows", constraints.constraints, grid.rule, grid.nodes.tobytes()),
+        lambda: _read_only(constraints.rows(A.x_grid, V)),
+    )
     y, mu, iterations, converged = _solve_inequality_qp(Sj, d, A_red, maxit)
     u = V @ y
     return EstimateResult(
         phi_hat=GridFunction(A.x_grid, u / sw),
-        objective=float(np.linalg.norm(B @ u - b) ** 2),
+        objective=float(np.linalg.norm(M @ u - rt) ** 2),
         kkt_residual=_qp_certificate(Sj, d, A_red, y, mu),
         condition_diagnostic=float(Sj[-1]),
         converged=converged,
@@ -535,9 +518,16 @@ def stability_probe(
     Probed directions: the retained singular direction with the smallest
     singular value, the image of a high-index perturbation sequence member,
     and seeded white noise, each normalized in the fz-weighted norm. Rows
-    cover the naive, Tikhonov, and constrained solvers. Tikhonov rows obey
-    the operator-norm bound 1/(2 sqrt(lam)), so 0 < lam < inf is required;
-    each delta must satisfy 0 <= delta < inf (delta = 0 reports 0).
+    cover the naive solver, the Tikhonov solver at lam, and the
+    unregularized solve under monotonicity. Tikhonov rows obey the
+    operator-norm bound 1/(2 sqrt(lam)), so 0 < lam < inf is required; the
+    constrained rows have no such bound, since the constraints bind only
+    where the data push against them. Each delta must satisfy
+    0 <= delta < inf (delta = 0 reports 0).
+
+    Every row carries ``converged``: always True for the two closed-form
+    solvers, and on constrained rows True only when both the solve at r and
+    the solve at r + delta v converged.
     """
     if not 0 < lam < math.inf:
         raise ValueError(f"stability_probe requires 0 < lam < inf, got {lam!r}")
@@ -550,7 +540,7 @@ def stability_probe(
     solvers = {
         "naive": lambda rr: naive_estimate(A, rr),
         "tir": lambda rr: tir_estimate(A, rr, lam),
-        "constrained": lambda rr: constrained_estimate(A, rr, lam, cset),
+        "constrained": lambda rr: constrained_estimate(A, rr, cset),
     }
     base = {name: solve(r) for name, solve in solvers.items()}
     rows = []
@@ -559,6 +549,7 @@ def stability_probe(
             for sname, solve in solvers.items():
                 if delta == 0:
                     amp = 0.0
+                    moved = base[sname]
                 else:
                     shifted = GridFunction(A.z_grid, r.values + delta * v)
                     moved = solve(shifted)
@@ -573,6 +564,7 @@ def stability_probe(
                         "direction": dname,
                         "solver": sname,
                         "amplification": float(amp),
+                        "converged": base[sname].converged and moved.converged,
                     }
                 )
     return rows

@@ -18,7 +18,6 @@ import numpy as np
 GAUSS_LEGENDRE = "gauss_legendre"
 UNIFORM_TRAPEZOID = "uniform_trapezoid"
 
-DEFAULT_QUADRATURE_SIZE = 128
 DEFAULT_INSPECTION_SIZE = 1001
 DEFAULT_SHAPE_TOL = 1e-9
 
@@ -164,13 +163,6 @@ def make_grid(size: int, rule: str = GAUSS_LEGENDRE) -> Grid:
     return Grid(nodes=nodes, weights=weights, rule=rule)
 
 
-def inner_product(f: GridFunction, g: GridFunction) -> float:
-    """Weighted dot product approximating the L2 inner product on [0, 1]."""
-    if not f.grid.same_as(g.grid):
-        raise GridMismatchError("inner_product requires functions on the same grid")
-    return float(np.dot(f.grid.weights, f.values * g.values))
-
-
 def l2_norm(f: GridFunction) -> float:
     return float(np.sqrt(np.dot(f.grid.weights, f.values**2)))
 
@@ -246,33 +238,14 @@ def resample(f: GridFunction, target: Grid) -> GridFunction:
     return GridFunction(target, R @ f.values)
 
 
-def derivative(f: GridFunction, inspection_grid: Grid) -> GridFunction:
-    """First derivative by second-order finite differences on a uniform grid.
-
-    The function is resampled onto the inspection grid first. Central
-    differences at interior nodes, one-sided three-point stencils at the
-    endpoints; the scheme is exact for quadratics up to rounding.
-    """
-    if inspection_grid.rule != UNIFORM_TRAPEZOID:
-        raise ValueError("derivative requires a uniform inspection grid")
-    if inspection_grid.size < 3:
-        raise ValueError("derivative requires at least 3 inspection nodes")
-    v = resample(f, inspection_grid).values
-    h = inspection_grid.nodes[1] - inspection_grid.nodes[0]
-    d = np.empty_like(v)
-    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return GridFunction(inspection_grid, d)
-
-
 def differentiation_matrix(grid: Grid) -> np.ndarray:
     """Differentiation matrix on the grid's own nodes.
 
     On Gauss grids this differentiates the interpolating polynomial
     (spectral accuracy for the analytic functions used here). On uniform
-    grids it applies the same finite-difference stencils as `derivative`,
-    which need at least 3 nodes.
+    grids it applies second-order finite differences, central at interior
+    nodes and one-sided three-point at the endpoints (exact for quadratics
+    up to rounding), which need at least 3 nodes.
     """
     n = grid.size
     if grid.rule == GAUSS_LEGENDRE:

@@ -339,9 +339,7 @@ def run_estimator_comparison(cfg: ExperimentConfig) -> ResultTable:
     solvers = [("naive", 0.0, lambda rr: naive_estimate(A, rr))]
     for lam in cfg.lambdas:
         solvers.append(("tir", lam, lambda rr, lam=lam: tir_estimate(A, rr, lam)))
-    solvers.append(
-        ("constrained", 0.0, lambda rr: constrained_estimate(A, rr, 0.0, cset))
-    )
+    solvers.append(("constrained", 0.0, lambda rr: constrained_estimate(A, rr, cset)))
     baselines = {
         (name, lam): solve(r).phi_hat.values for name, lam, solve in solvers
     }

@@ -17,10 +17,9 @@ shared read-only arrays:
 
   * the weighted matrix M and its truncated SVD;
   * for the Tikhonov solver, the derivative form F in weighted coordinates,
-    the Gram matrices M^T M and F^T F, and the eigenvalue floor per lambda
-    (the lambda > 0 constrained solve reads the same F);
-  * for the lambda = 0 constrained solve, the constraint rows reduced to the
-    retained singular subspace, one entry per constraint set, keyed by the
+    the Gram matrices M^T M and F^T F, and the eigenvalue floor per lambda;
+  * for the constrained solve, the constraint rows reduced to the retained
+    singular subspace, one entry per constraint set, keyed by the
     constraints and the inspection grid's rule and nodes.
 """
 
@@ -159,19 +158,6 @@ def q_infinity(A: DiscreteOperator, phi: GridFunction, r: GridFunction) -> float
         raise GridMismatchError("r must live on the operator's z grid")
     m = apply(A, phi).values - r.values
     return float(np.dot(A.fz_weights, m**2))
-
-
-def adjoint_apply(A: DiscreteOperator, psi: GridFunction) -> GridFunction:
-    """Adjoint with respect to the f_Z-weighted product on the z side.
-
-    Satisfies <A phi, psi>_{fz} = <phi, A* psi>_{x} on the grids exactly,
-    up to rounding.
-    """
-    if not psi.grid.same_as(A.z_grid):
-        raise GridMismatchError("psi must live on the operator's z grid")
-    weighted = A.fz_weights * psi.values
-    values = (A.kernel_matrix.T @ weighted) / A.x_grid.weights
-    return GridFunction(A.x_grid, values)
 
 
 def weighted_matrix(A: DiscreteOperator) -> np.ndarray:

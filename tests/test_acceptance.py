@@ -84,7 +84,7 @@ def constrained_solves():
     for n in COMPARISON_N_VALUES:
         shift = EPS * apply(A, psi(CounterexampleSpec(MONOTONE, n), x)).values
         r_n = GridFunction(z, r.values + shift)
-        solves[n] = constrained_estimate(A, r_n, 0.0, cset)
+        solves[n] = constrained_estimate(A, r_n, cset)
     return x, z, A, phi0, r, solves
 
 

@@ -146,27 +146,27 @@ class TestNaive:
 
 
 class TestConstrained:
-    def test_inactive_constraints_match_tir(self, problem):
-        x, _, A, _, r = problem
-        unconstrained = tir_estimate(A, r, 1e-4)
-        constrained = constrained_estimate(A, r, 1e-4, MONOTONE_SET)
+    def test_inactive_constraints_match_naive(self, problem):
+        x, _, A, _, _ = problem
+        # 1 + x^2 is positive, so the unconstrained fit already satisfies
+        # the constraint and the QP takes no step
+        r = apply(A, GridFunction(x, 1.0 + x.nodes**2))
+        cset = ConstraintSet(constraints=(ShapeConstraint("nonnegative"),))
+        constrained = constrained_estimate(A, r, cset)
         assert constrained.converged
-        # feasible without constraints: the QP takes no step
         assert constrained.iterations == 0
-        assert np.abs(
-            constrained.phi_hat.values - unconstrained.phi_hat.values
-        ).max() < 1e-8
-        assert all(
-            check_shape(constrained.phi_hat, c, MONOTONE_SET.inspection_grid)
-            for c in MONOTONE_SET.constraints
+        np.testing.assert_array_equal(
+            constrained.phi_hat.values, naive_estimate(A, r).phi_hat.values
         )
+        nonnegative = cset.constraints[0]
+        assert check_shape(constrained.phi_hat, nonnegative, cset.inspection_grid)
 
     def test_constraints_do_not_restore_stability(self, problem):
         x, z, A, phi0, r = problem
         eps = 0.1
         shift = apply(A, psi(CounterexampleSpec(MONOTONE, 50), x)).values
         perturbed = GridFunction(z, r.values + eps * shift)
-        result = constrained_estimate(A, perturbed, 0.0, MONOTONE_SET)
+        result = constrained_estimate(A, perturbed, MONOTONE_SET)
         assert result.converged
         assert result.iterations >= 1
         assert result.kkt_residual <= 1e-6
@@ -180,7 +180,7 @@ class TestConstrained:
         x, z, A, _, _ = problem
         r = apply(A, GridFunction(x, -np.ones(64)))
         cset = ConstraintSet(constraints=(ShapeConstraint("nonnegative"),))
-        result = constrained_estimate(A, r, 0.0, cset)
+        result = constrained_estimate(A, r, cset)
         assert result.phi_hat.values.min() >= -1e-9
         assert result.kkt_residual <= 1e-6
         assert check_shape(
@@ -191,16 +191,11 @@ class TestConstrained:
         x, z, A, _, r = problem
         shift = apply(A, psi(CounterexampleSpec(MONOTONE, 50), x)).values
         perturbed = GridFunction(z, r.values + 0.1 * shift)
-        result = constrained_estimate(A, perturbed, 0.0, MONOTONE_SET, maxit=1)
+        result = constrained_estimate(A, perturbed, MONOTONE_SET, maxit=1)
         assert not result.converged
         assert result.iterations == 1
         assert np.all(np.isfinite(result.phi_hat.values))
         assert np.isfinite(result.kkt_residual)
-
-    def test_negative_lambda_rejected(self, problem):
-        _, _, A, _, r = problem
-        with pytest.raises(ValueError, match="0 <= lam < inf"):
-            constrained_estimate(A, r, -1.0, MONOTONE_SET)
 
     def test_nnls_errors_other_than_its_iteration_cap_propagate(
         self, problem, monkeypatch
@@ -214,7 +209,7 @@ class TestConstrained:
 
         monkeypatch.setattr(estimators, "nnls", broken_nnls)
         with pytest.raises(ValueError, match="synthetic nnls failure"):
-            constrained_estimate(A, perturbed, 0.0, MONOTONE_SET)
+            constrained_estimate(A, perturbed, MONOTONE_SET)
 
     @staticmethod
     def _stalling_problem(n):
@@ -242,25 +237,24 @@ class TestConstrained:
             return original(E, f, **kwargs)
 
         monkeypatch.setattr(estimators, "nnls", recording)
-        result = constrained_estimate(A, r, 0.0, convex)
+        result = constrained_estimate(A, r, convex)
         assert not result.converged
         assert seen
         assert len(set(seen)) == len(seen)
 
     def test_a_stalled_solve_reports_the_steps_it_took(self):
         A, r, convex = self._stalling_problem(5)
-        result = constrained_estimate(A, r, 0.0, convex)
+        result = constrained_estimate(A, r, convex)
         assert not result.converged
         assert result.iterations == 16
 
 
 @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
-@pytest.mark.parametrize("entry", ["tir", "constrained", "probe"])
+@pytest.mark.parametrize("entry", ["tir", "probe"])
 def test_lambda_outside_its_range_rejected(problem, entry, lam):
     _, _, A, _, r = problem
     solve = {
         "tir": lambda: tir_estimate(A, r, lam),
-        "constrained": lambda: constrained_estimate(A, r, lam, MONOTONE_SET),
         "probe": lambda: stability_probe(A, r, [1e-6], lam),
     }[entry]
     with pytest.raises(ValueError, match="lam < inf"):
@@ -454,9 +448,16 @@ class TestStabilityProbe:
         solvers = {"naive", "tir", "constrained"}
         assert len(rows) == 2 * 3 * 3
         for row in rows:
-            assert set(row) == {"delta", "direction", "solver", "amplification"}
+            assert set(row) == {
+                "delta",
+                "direction",
+                "solver",
+                "amplification",
+                "converged",
+            }
             assert row["direction"] in directions
             assert row["solver"] in solvers
+            assert row["converged"] or row["solver"] == "constrained"
 
     def test_zero_delta_rows_report_zero(self, rows):
         zero = [row for row in rows if row["delta"] == 0.0]
@@ -480,6 +481,43 @@ class TestStabilityProbe:
             and row["delta"] > 0
         ]
         assert worst and worst[0]["amplification"] >= 1e6
+
+    def test_constrained_rows_report_the_solves_own_flag(self, problem, rows):
+        _, _, A, _, r = problem
+        directions = estimators._probe_directions(A)
+        base = constrained_estimate(A, r, MONOTONE_SET)
+        assert base.converged
+        constrained = [row for row in rows if row["solver"] == "constrained"]
+        assert len(constrained) == 2 * 3
+        for row in constrained:
+            shifted = GridFunction(
+                r.grid, r.values + row["delta"] * directions[row["direction"]]
+            )
+            direct = constrained_estimate(A, shifted, MONOTONE_SET)
+            assert row["converged"] is direct.converged, row
+        # white noise at delta = 1e-6 stalls on this problem, and says so
+        stalled = [row for row in constrained if not row["converged"]]
+        assert [(row["delta"], row["direction"]) for row in stalled] == [
+            (1e-6, "white_noise")
+        ]
+
+    @pytest.mark.parametrize("size", [64, 128])
+    def test_naive_worst_direction_amplification_is_inverse_sigma_j(self, size):
+        # v = U_J / sqrt(fz) has unit fz-norm and moves the estimate by
+        # delta / sigma_J along the J-th right singular vector
+        x = make_grid(size)
+        spec = DgpSpec(rho=0.5)
+        A = discretize(make_dgp(spec), x, make_grid(size))
+        r = apply(A, phi0_on_grid(spec, x))
+        want = 1.0 / A.svd.s[A.svd.rank - 1]
+        worst = [
+            row
+            for row in stability_probe(A, r, [1e-2, 1e-6], 1e-4)
+            if row["solver"] == "naive" and row["direction"] == "worst_singular"
+        ]
+        assert len(worst) == 2
+        for row in worst:
+            assert abs(row["amplification"] - want) <= 1e-10 * want, row
 
     def test_requires_positive_lambda(self, problem):
         _, _, A, _, r = problem
@@ -524,7 +562,7 @@ class TestFactorizationReuse:
         naive_estimate(A, r)
         for rr in data:
             naive_estimate(A, rr)
-            constrained_estimate(A, rr, 0.0, MONOTONE_SET)
+            constrained_estimate(A, rr, MONOTONE_SET)
         assert len(calls) == 1
 
     def test_condition_diagnostic_is_exact_per_lambda_and_penalty(self):
@@ -548,10 +586,8 @@ class TestFactorizationReuse:
             return original(grid)
 
         monkeypatch.setattr(estimators, "differentiation_matrix", counting)
-        for lam in (1e-6, 1e-2):
+        for lam in (1e-6, 1e-2, 1e-6):
             tir_estimate(A, r, lam)
-        constrained_estimate(A, r, 1e-4, MONOTONE_SET)
-        tir_estimate(A, r, 1e-6)
         assert len(calls) == 1
         _, other, r_other = _fresh_problem()
         tir_estimate(other, r_other, 1e-6)
@@ -569,20 +605,16 @@ class TestFactorizationReuse:
 
         monkeypatch.setattr(ConstraintSet, "rows", counting)
         for rr in data:
-            constrained_estimate(A, rr, 0.0, MONOTONE_SET)
+            constrained_estimate(A, rr, MONOTONE_SET)
         # an equal set built anew (fresh grid arrays) is the same cache entry
         same = ConstraintSet(
             constraints=(ShapeConstraint("monotone_nondecreasing"),),
             inspection_grid=make_grid(1001, UNIFORM_TRAPEZOID),
         )
-        constrained_estimate(A, r, 0.0, same)
+        constrained_estimate(A, r, same)
         assert len(calls) == 1
-        constrained_estimate(A, r, 0.0, ConstraintSet((ShapeConstraint("convex"),)))
+        constrained_estimate(A, r, ConstraintSet((ShapeConstraint("convex"),)))
         assert len(calls) == 2
-        # lam > 0 rows live in the stacked problem's basis and are not cached
-        constrained_estimate(A, r, 1e-4, MONOTONE_SET)
-        constrained_estimate(A, r, 1e-4, MONOTONE_SET)
-        assert len(calls) == 4
 
     def test_constraint_sets_sharing_an_operator_do_not_collide(self):
         x, A, _ = _fresh_problem()
@@ -598,11 +630,11 @@ class TestFactorizationReuse:
             ConstraintSet((monotone,), make_grid(257, UNIFORM_TRAPEZOID)),
             ConstraintSet((monotone, ShapeConstraint("convex"))),
         ]
-        shared = [[constrained_estimate(A, rr, 0.0, c) for rr in data] for c in sets]
+        shared = [[constrained_estimate(A, rr, c) for rr in data] for c in sets]
         for cset, got_row in zip(sets, shared):
             _, fresh, _ = _fresh_problem()
             for rr, got in zip(data, got_row):
-                want = constrained_estimate(fresh, rr, 0.0, cset)
+                want = constrained_estimate(fresh, rr, cset)
                 np.testing.assert_array_equal(got.phi_hat.values, want.phi_hat.values)
                 assert got.kkt_residual == want.kkt_residual
                 assert got.iterations == want.iterations
@@ -624,7 +656,7 @@ class TestFactorizationReuse:
             return [
                 naive_estimate(A, rr),
                 tir_estimate(A, rr, 1e-4),
-                constrained_estimate(A, rr, 0.0, MONOTONE_SET),
+                constrained_estimate(A, rr, MONOTONE_SET),
             ]
 
         serial = [solve_all(serial_op, rr) for rr in data]

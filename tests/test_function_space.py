@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from npivlab import function_space
 from npivlab.function_space import (
@@ -16,9 +15,7 @@ from npivlab.function_space import (
     ShapeConstraint,
     check_shape,
     default_inspection_grid,
-    derivative,
     differentiation_matrix,
-    inner_product,
     l2_norm,
     make_grid,
     resample,
@@ -29,6 +26,7 @@ from npivlab.function_space import (
     _build_resample_matrix,
     _cached_resample_matrix,
 )
+from npivlab.operators import DiscreteOperator, apply, q_infinity
 
 
 @pytest.fixture(scope="module")
@@ -76,21 +74,6 @@ def test_gauss_quadrature_integrates_monomials_exactly(k):
     assert abs(val - 1.0 / (k + 1)) < 1e-13
 
 
-def test_inner_product_matches_quad_oracle(gauss128):
-    f = GridFunction(gauss128, np.exp(gauss128.nodes))
-    g = GridFunction(gauss128, np.sin(3.0 * gauss128.nodes))
-    expected, _ = quad(lambda x: np.exp(x) * np.sin(3.0 * x), 0.0, 1.0)
-    assert abs(inner_product(f, g) - expected) < 1e-12
-
-
-def test_inner_product_requires_same_grid(gauss128):
-    other = make_grid(64)
-    f = GridFunction(gauss128, np.ones(128))
-    g = GridFunction(other, np.ones(64))
-    with pytest.raises(GridMismatchError):
-        inner_product(f, g)
-
-
 def test_grids_with_equal_nodes_and_other_weights_are_not_the_same():
     nodes = np.array([0.1, 0.5, 0.9])
     a = Grid(nodes, np.array([0.25, 0.5, 0.25]), GAUSS_LEGENDRE)
@@ -98,11 +81,14 @@ def test_grids_with_equal_nodes_and_other_weights_are_not_the_same():
     assert a.same_as(a)
     assert a.same_as(Grid(nodes.copy(), a.weights.copy(), GAUSS_LEGENDRE))
     assert not a.same_as(b) and not b.same_as(a)
-    f = GridFunction(a, np.array([1.0, 2.0, 3.0]))
-    g = GridFunction(b, np.array([3.0, 1.0, 2.0]))
-    for left, right in ((f, g), (g, f)):
+    kernel = np.full((3, 3), 1.0 / 3.0)
+    for own, other in ((a, b), (b, a)):
+        A = DiscreteOperator(own, own, kernel, own.weights)
+        theirs = GridFunction(other, np.array([3.0, 1.0, 2.0]))
         with pytest.raises(GridMismatchError):
-            inner_product(left, right)
+            apply(A, theirs)
+        with pytest.raises(GridMismatchError):
+            q_infinity(A, GridFunction(own, np.ones(3)), theirs)
 
 
 finite_arrays = st.lists(
@@ -110,17 +96,6 @@ finite_arrays = st.lists(
     min_size=16,
     max_size=16,
 )
-
-
-@settings(max_examples=50, deadline=None)
-@given(finite_arrays, finite_arrays)
-def test_cauchy_schwarz(a, b):
-    g = make_grid(16)
-    f1 = GridFunction(g, np.array(a))
-    f2 = GridFunction(g, np.array(b))
-    lhs = abs(inner_product(f1, f2))
-    rhs = l2_norm(f1) * l2_norm(f2)
-    assert lhs <= rhs * (1.0 + 1e-12) + 1e-12
 
 
 @settings(max_examples=50, deadline=None)
@@ -196,19 +171,6 @@ def test_resample_matrix_threaded_equals_serial():
         threaded = [f.result(timeout=60) for f in futures]
     for got, want in zip(threaded, serial * 3):
         np.testing.assert_array_equal(got, want)
-
-
-def test_derivative_second_order_accuracy():
-    fine = make_grid(2001, UNIFORM_TRAPEZOID)
-    f = GridFunction(fine, np.sin(fine.nodes))
-    d = derivative(f, fine)
-    assert np.abs(d.values - np.cos(fine.nodes)).max() < 1e-6
-
-
-def test_derivative_requires_uniform_grid(gauss128):
-    f = GridFunction(gauss128, gauss128.nodes)
-    with pytest.raises(ValueError):
-        derivative(f, gauss128)
 
 
 def test_differentiation_matrix_spectral_on_gauss(gauss128):

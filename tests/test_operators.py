@@ -31,7 +31,6 @@ from npivlab.operators import (
     SVD_TRUNCATION_RTOL,
     DiscreteOperator,
     TruncatedSvd,
-    adjoint_apply,
     apply,
     discretize,
     q_infinity,
@@ -203,30 +202,6 @@ def test_criterion_nonnegative(problem):
     for _ in range(10):
         f = GridFunction(x, rng.standard_normal(128))
         assert q_infinity(A, f, r) >= 0.0
-
-
-class TestAdjoint:
-    def test_zero(self, problem):
-        _, z, _, A, _, _ = problem
-        out = adjoint_apply(A, GridFunction(z, np.zeros(128)))
-        assert np.all(out.values == 0.0)
-
-    def test_duality_identity_on_random_pairs(self, problem):
-        x, z, _, A, _, _ = problem
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            phi = GridFunction(x, rng.standard_normal(128))
-            psi_z = GridFunction(z, rng.standard_normal(128))
-            lhs = float(np.dot(A.fz_weights, apply(A, phi).values * psi_z.values))
-            rhs = float(
-                np.dot(x.weights, phi.values * adjoint_apply(A, psi_z).values)
-            )
-            assert abs(lhs - rhs) < 1e-12
-
-    def test_flat_case_adjoint_of_one_is_one(self, independent):
-        x, z, A = independent
-        out = adjoint_apply(A, GridFunction(z, np.ones(128)))
-        np.testing.assert_allclose(out.values, 1.0, atol=1e-12)
 
 
 class TestSvd:
@@ -407,8 +382,7 @@ class TestFactorizationCache:
         cset = ConstraintSet((ShapeConstraint("monotone_nondecreasing"),))
         naive_estimate(A, r)
         tir_estimate(A, r, 1e-4)
-        constrained_estimate(A, r, 0.0, cset)
-        constrained_estimate(A, r, 1e-4, cset)
+        constrained_estimate(A, r, cset)
         keys = {k if isinstance(k, str) else k[0] for k in A._cache}
         assert {"derivative_form", "tikhonov_grams", "constraint_rows"} <= keys
 

@@ -7,9 +7,10 @@ table's header and data rows (every line not starting with ``#``, so the
 timestamped metadata is ignored) is read from ``perfbench/reference.json``.
 The default ``svd_report`` table, an ``estimator_comparison`` on unequal x
 and z grids with three constraint kinds, and the ``stability_probe`` rows,
-which no workload runs, are pinned by literal digests; the probe is the only
-pinned path through the lam > 0 constrained solve. A change that moves any
-printed digit of these tables fails here.
+which no workload runs, are pinned by literal digests; the probe's
+constrained rows include a white-noise solve that stops unconverged, so its
+``converged`` flag is pinned too. A change that moves any printed digit of
+these tables fails here.
 
 The digests hold at OpenBLAS's default thread count. BLAS results depend on
 the thread count: with ``OPENBLAS_NUM_THREADS=1`` the ``compare``,
@@ -78,8 +79,9 @@ MIXED_COMPARISON_CONFIG = {
 MIXED_COMPARISON_DIGEST = "f1d6df91ea456dd2de25dc8f3cd358714e5e37f3ae6a987d442967e729976abf"
 
 # stability_probe(A, r, [0.0, 1e-6], 1e-4) on the 64-node rho = 0.5 problem,
-# one "delta,direction,solver,amplification" line per row, floats as .hex().
-STABILITY_PROBE_DIGEST = "645374c2bba7290d6bac8b54540ee5cf2f11ca8addd7e2099550e6f7b217f50a"
+# one "delta,direction,solver,amplification,converged" line per row, floats
+# as .hex().
+STABILITY_PROBE_DIGEST = "b339330f89fed630bdde1a364010d2f56bcf8766e0fb5ba0e985a975cc8aba25"
 
 
 def _data_digest(path: Path) -> str:
@@ -128,7 +130,7 @@ def test_stability_probe_rows_match_recorded_digest():
     r = apply(A, phi0_on_grid(spec, x))
     text = "".join(
         f"{row['delta'].hex()},{row['direction']},{row['solver']},"
-        f"{row['amplification'].hex()}\n"
+        f"{row['amplification'].hex()},{row['converged']}\n"
         for row in stability_probe(A, r, [0.0, 1e-6], 1e-4)
     )
     assert hashlib.sha256(text.encode()).hexdigest() == STABILITY_PROBE_DIGEST
