@@ -11,14 +11,13 @@ construction.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .function_space import Grid, GridFunction
+from .function_space import Grid, GridFunction, Memoized
 
 PHI0_CHOICES = ("square", "linear", "affine_plus_exp", "custom")
 
@@ -80,10 +79,10 @@ def phi0_on_grid(spec: DgpSpec, grid: Grid) -> GridFunction:
 
 
 @dataclass(frozen=True)
-class Dgp:
+class Dgp(Memoized):
     spec: DgpSpec
 
-    @functools.cached_property
+    @property
     def sup_fxz(self) -> float:
         """Sup of the joint density over a 512 x 512 lattice of cell midpoints.
 
@@ -93,6 +92,9 @@ class Dgp:
         evaluates densities on, and is the constant used by the
         integral-bound checks.
         """
+        return self.memo("sup_fxz", self._lattice_sup)
+
+    def _lattice_sup(self) -> float:
         pts = (np.arange(_LATTICE) + 0.5) / _LATTICE
         return float(self.f_x_given_z(pts[None, :], pts[:, None]).max())
 

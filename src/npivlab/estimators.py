@@ -33,18 +33,13 @@ from .function_space import (
     Grid,
     GridFunction,
     ShapeConstraint,
+    _read_only,
     default_inspection_grid,
     differentiation_matrix,
     l2_norm,
     resample_matrix,
 )
-from .operators import (
-    SVD_TRUNCATION_RTOL,
-    DiscreteOperator,
-    _read_only,
-    apply,
-    weighted_matrix,
-)
+from .operators import SVD_TRUNCATION_RTOL, DiscreteOperator, apply, weighted_matrix
 
 QP_MAX_ITERATIONS = 2000
 
@@ -124,27 +119,17 @@ def _weighted_system(A: DiscreteOperator, r: GridFunction):
     return M, sw, rt
 
 
-def _derivative_form(A: DiscreteOperator) -> np.ndarray:
+def _derivative_form(grid: Grid) -> np.ndarray:
     # derivative operator expressed in the weighted coordinates
-    sw = np.sqrt(A.x_grid.weights)
-    D = differentiation_matrix(A.x_grid)
+    sw = np.sqrt(grid.weights)
+    D = differentiation_matrix(grid)
     return (sw[:, None] * D) / sw[None, :]
 
 
-def _penalty_form(A: DiscreteOperator) -> np.ndarray:
-    """F = _derivative_form(A), built once per operator, read-only."""
-    return A.memo("derivative_form", lambda: _read_only(_derivative_form(A)))
-
-
-def _tikhonov_grams(A: DiscreteOperator):
-    """(M^T M, F^T F), built once per operator, read-only."""
-
-    def build():
-        M = weighted_matrix(A)
-        F = _penalty_form(A)
-        return _read_only(M.T @ M), _read_only(F.T @ F)
-
-    return A.memo("tikhonov_grams", build)
+def _penalty_form(grid: Grid) -> np.ndarray:
+    """F = _derivative_form(grid), built once per grid, read-only; D itself
+    is not kept."""
+    return grid.memo("penalty_form", lambda: _read_only(_derivative_form(grid)))
 
 
 def tir_estimate(A: DiscreteOperator, r: GridFunction, lam: float) -> EstimateResult:
@@ -157,8 +142,10 @@ def tir_estimate(A: DiscreteOperator, r: GridFunction, lam: float) -> EstimateRe
     if not 0 < lam < math.inf:
         raise ValueError(f"tir_estimate requires 0 < lam < inf, got {lam!r}")
     M, sw, rt = _weighted_system(A, r)
-    F = _penalty_form(A)
-    MtM, FtF = _tikhonov_grams(A)
+    F = _penalty_form(A.x_grid)
+    # M^T M depends on the operator, F^T F on the x grid alone
+    MtM = A.memo("gram", lambda: _read_only(M.T @ M))
+    FtF = A.x_grid.memo("penalty_gram", lambda: _read_only(F.T @ F))
     # H = (M^T M + lam I) + lam F^T F in one buffer, each entry rounded as in
     # that order: off the diagonal the identity adds nothing.
     H = np.multiply(FtF, lam)

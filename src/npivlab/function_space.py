@@ -9,7 +9,6 @@ difference stencils well scaled).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -26,12 +25,45 @@ class GridMismatchError(ValueError):
     """Raised when an operation receives functions on different grids."""
 
 
+class Memoized:
+    """Base of the package's immutable objects: grids, operators and DGPs.
+
+    What is derived from one such object alone is computed on first use and
+    kept on it, so it lives exactly as long as the object it comes from.
+    """
+
+    def memo(self, key, build):
+        """Return build(), computed once per key for this object.
+
+        For values that depend on the object and the key alone. Threads
+        that race on a missing key may each call build, but all of them
+        get the value stored first; an exception is raised, not stored.
+        """
+        cache = vars(self).setdefault("_cache", {})
+        try:
+            return cache[key]
+        except KeyError:
+            return cache.setdefault(key, build())
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _frozen(a) -> np.ndarray:
+    """a as a read-only float array; a writeable input is copied first, so
+    nothing cached from it can go stale and the caller's array is left alone."""
+    a = np.asarray(a, dtype=float)
+    return _read_only(a.copy() if a.flags.writeable else a)
+
+
 @dataclass(frozen=True)
-class Grid:
+class Grid(Memoized):
     """Quadrature rule on [0, 1]: ordered nodes and positive weights.
 
     Weights sum to 1 (the integral of the constant function), so quadrature
-    is ``sum(w * f)``.
+    is ``sum(w * f)``. Nodes and weights are stored read-only.
     """
 
     nodes: np.ndarray
@@ -39,8 +71,8 @@ class Grid:
     rule: str
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        object.__setattr__(self, "nodes", _frozen(self.nodes))
+        object.__setattr__(self, "weights", _frozen(self.weights))
         if self.nodes.ndim != 1 or self.weights.shape != self.nodes.shape:
             raise ValueError("nodes and weights must be 1-d arrays of equal length")
         if not (np.isfinite(self.nodes).all() and np.isfinite(self.weights).all()):
@@ -183,28 +215,17 @@ def resample_matrix(src: Grid, targets: np.ndarray) -> np.ndarray:
     this package are polynomials or analytic, so this is essentially exact),
     linear interpolation from uniform grids.
 
-    The matrix is built once per source rule, nodes, weights and targets and
-    then cached, so every caller gets the same shared array. It is
-    read-only: copy it before writing into it.
+    The matrix is built once per target values and kept on ``src``, so
+    every caller gets the same shared array for as long as the grid lives.
+    It is read-only: copy it before writing into it.
     """
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 1:
         raise ValueError("resample targets must be a 1-d array")
-    return _cached_resample_matrix(
-        src.rule, src.nodes.tobytes(), src.weights.tobytes(), targets.tobytes()
+    return src.memo(
+        ("resample", targets.tobytes()),
+        lambda: _read_only(_build_resample_matrix(src, targets)),
     )
-
-
-# A few distinct (grid, targets) pairs occur per run; each entry holds one
-# targets-by-nodes matrix (4 MB at 1001 x 512), so keep the bound small.
-@functools.lru_cache(maxsize=4)
-def _cached_resample_matrix(
-    rule: str, nodes: bytes, weights: bytes, targets: bytes
-) -> np.ndarray:
-    src = Grid(np.frombuffer(nodes), np.frombuffer(weights), rule)
-    R = _build_resample_matrix(src, np.frombuffer(targets))
-    R.flags.writeable = False
-    return R
 
 
 def _build_resample_matrix(src: Grid, targets: np.ndarray) -> np.ndarray:
@@ -273,25 +294,16 @@ def sobolev_norm(f: GridFunction) -> float:
 
     The derivative is taken with `differentiation_matrix` on the function's
     own grid, so on Gauss grids the seminorm of a polynomial is computed to
-    near machine precision. The matrix of the most recent grid is kept, so
-    norms of many functions on one grid build it once.
+    near machine precision. The matrix is kept on the grid, so norms of many
+    functions on one grid build it once.
     """
     grid = f.grid
-    D = _last_differentiation_matrix(
-        grid.rule, grid.nodes.tobytes(), grid.weights.tobytes()
+    D = grid.memo(
+        "differentiation_matrix", lambda: _read_only(differentiation_matrix(grid))
     )
     df = D @ f.values
-    w = f.grid.weights
+    w = grid.weights
     return float(np.sqrt(np.dot(w, f.values**2) + np.dot(w, df**2)))
-
-
-# One entry: a run takes Sobolev norms on one grid, and a larger bound would
-# keep an n-by-n matrix per grid alive.
-@functools.lru_cache(maxsize=1)
-def _last_differentiation_matrix(rule: str, nodes: bytes, weights: bytes) -> np.ndarray:
-    D = differentiation_matrix(Grid(np.frombuffer(nodes), np.frombuffer(weights), rule))
-    D.flags.writeable = False
-    return D
 
 
 def default_inspection_grid(size: int = DEFAULT_INSPECTION_SIZE) -> Grid:

@@ -94,6 +94,7 @@ def _is_number(value) -> bool:
 _TYPE_RULES = {
     "int": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
     "float": ("a finite number", lambda v: _is_number(v) and math.isfinite(v)),
+    "tuple": ("a list", lambda v: isinstance(v, (list, tuple))),
 }
 
 
@@ -122,8 +123,6 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "lambdas", tuple(self.lambdas))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
         if self.experiment not in _RUNNERS:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; "
@@ -137,6 +136,7 @@ class ExperimentConfig:
             rule = _TYPE_RULES.get(f.type)
             if rule and not rule[1](value):
                 raise ConfigError(f"{f.name} must be {rule[0]}, got {value!r}")
+        object.__setattr__(self, "constraints", tuple(self.constraints))
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.quadrature_size < 2 or self.z_size < 2:

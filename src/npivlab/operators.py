@@ -12,15 +12,20 @@ W_z^(1/2) K W_x^(-1/2), whose singular values are those of the operator
 between the weighted L2 spaces rather than artifacts of node placement.
 
 An operator is immutable, so everything computed from it alone is computed
-once, on first use, and kept on the operator (``DiscreteOperator.memo``) as
-shared read-only arrays:
+once, on first use, and kept on the operator (``memo``, shared with grids and
+DGPs) as shared read-only arrays:
 
   * the weighted matrix M and its truncated SVD;
-  * for the Tikhonov solver, the derivative form F in weighted coordinates,
-    the Gram matrices M^T M and F^T F, and the eigenvalue floor per lambda;
+  * for the Tikhonov solver, the Gram matrix M^T M and the eigenvalue floor
+    per lambda;
   * for the constrained solve, the constraint rows reduced to the retained
     singular subspace, one entry per constraint set, keyed by the
     constraints and the inspection grid's rule and nodes.
+
+What depends on the x grid alone is kept on the grid instead, so operators
+that share a grid (montecarlo's replications) share it: the resample matrix
+per target nodes, the differentiation matrix of ``sobolev_norm``, and the
+Tikhonov penalty form F in weighted coordinates with F^T F.
 """
 
 from __future__ import annotations
@@ -29,7 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .function_space import Grid, GridFunction, GridMismatchError
+from .function_space import (
+    Grid,
+    GridFunction,
+    GridMismatchError,
+    Memoized,
+    _frozen,
+    _read_only,
+)
 
 SVD_TRUNCATION_RTOL = 1e-12
 
@@ -37,11 +49,6 @@ SVD_TRUNCATION_RTOL = 1e-12
 def _truncation_rank(s: np.ndarray) -> int:
     """Count of singular values above SVD_TRUNCATION_RTOL times the largest."""
     return int(np.sum(s > SVD_TRUNCATION_RTOL * (s[0] if s.size else 0.0)))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -61,12 +68,13 @@ class TruncatedSvd:
 
 
 @dataclass(frozen=True)
-class DiscreteOperator:
+class DiscreteOperator(Memoized):
     """Kernel matrix with quadrature weights folded in.
 
     kernel_matrix[j, i] = f_{X|Z}(x_i | z_j) * w_i, one row per z node.
     fz_weights[j] = z-quadrature weight times f_Z(z_j); rows excluded by a
-    sampled-mode degeneracy flag carry fz_weight 0.
+    sampled-mode degeneracy flag carry fz_weight 0. Both are stored
+    read-only.
     """
 
     x_grid: Grid
@@ -76,17 +84,10 @@ class DiscreteOperator:
     flagged_z: np.ndarray | None = None
 
     def __post_init__(self):
-        # Stored read-only, so nothing cached from them can go stale; a
-        # writeable input is copied first, leaving the caller's array alone.
-        K = np.asarray(self.kernel_matrix, dtype=float)
-        fzw = np.asarray(self.fz_weights, dtype=float)
-        if K.flags.writeable:
-            K = _read_only(K.copy())
-        if fzw.flags.writeable:
-            fzw = _read_only(fzw.copy())
+        K = _frozen(self.kernel_matrix)
+        fzw = _frozen(self.fz_weights)
         object.__setattr__(self, "kernel_matrix", K)
         object.__setattr__(self, "fz_weights", fzw)
-        object.__setattr__(self, "_cache", {})
         if K.shape != (self.z_grid.size, self.x_grid.size):
             raise ValueError("kernel matrix shape must be (z size, x size)")
         if not (np.isfinite(K).all() and np.isfinite(fzw).all()):
@@ -96,18 +97,6 @@ class DiscreteOperator:
             raise ValueError("kernel rows must integrate to 1 within 1e-8")
         if fzw.shape != (self.z_grid.size,) or np.any(fzw < 0):
             raise ValueError("fz_weights must be nonnegative, one per z node")
-
-    def memo(self, key, build):
-        """Return build(), computed once per key for this operator.
-
-        For values that depend on the operator and the key alone. Threads
-        that race on a missing key may each call build, but all of them
-        get the value stored first; an exception is raised, not stored.
-        """
-        try:
-            return self._cache[key]
-        except KeyError:
-            return self._cache.setdefault(key, build())
 
     @property
     def svd(self) -> TruncatedSvd:

@@ -126,6 +126,16 @@ def test_inspection_grid_too_small_for_a_constraint_exits_2(tmp_path, capsys):
     assert "inspection_size must be at least 7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value", [("constraints", "convex"), ("lambdas", "1e-4"), ("lambdas", 1e-4)]
+)
+def test_list_field_given_a_scalar_exits_2(tmp_path, capsys, key, value):
+    cfg_path = tmp_path / "scalar.json"
+    cfg_path.write_text(json.dumps({"experiment": "estimator_comparison", key: value}))
+    assert cli.main(["compare", "--config", str(cfg_path)]) == 2
+    assert f"{key} must be a list, got {value!r}" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert cli.main(["svd", "--config", str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err

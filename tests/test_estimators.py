@@ -569,7 +569,7 @@ class TestFactorizationReuse:
         _, A, r = _fresh_problem()
         M = weighted_matrix(A)
         n = M.shape[1]
-        F = _derivative_form(A)
+        F = _derivative_form(A.x_grid)
         for _ in range(2):
             for lam in (1e-6, 1e-2):
                 H = M.T @ M + lam * np.eye(n) + lam * (F.T @ F)
@@ -588,6 +588,10 @@ class TestFactorizationReuse:
         monkeypatch.setattr(estimators, "differentiation_matrix", counting)
         for lam in (1e-6, 1e-2, 1e-6):
             tir_estimate(A, r, lam)
+        assert len(calls) == 1
+        # the form is kept on the x grid, so an operator sharing it reuses it
+        twin = discretize(make_dgp(DgpSpec(rho=0.3)), x, A.z_grid)
+        tir_estimate(twin, apply(twin, phi0_on_grid(DgpSpec(), x)), 1e-6)
         assert len(calls) == 1
         _, other, r_other = _fresh_problem()
         tir_estimate(other, r_other, 1e-6)

@@ -1,3 +1,4 @@
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,10 +23,7 @@ from npivlab.function_space import (
     resample_matrix,
     sobolev_norm,
 )
-from npivlab.function_space import (
-    _build_resample_matrix,
-    _cached_resample_matrix,
-)
+from npivlab.function_space import _build_resample_matrix
 from npivlab.operators import DiscreteOperator, apply, q_infinity
 
 
@@ -134,8 +132,12 @@ def test_resample_matrix_is_memoized_and_read_only(rule):
     targets = default_inspection_grid().nodes
     R = resample_matrix(src, targets)
     np.testing.assert_array_equal(R, _build_resample_matrix(src, targets))
-    # an equal grid built afresh hits the same entry
-    assert resample_matrix(make_grid(64, rule), targets.copy()) is R
+    # the matrix is kept on the grid, keyed by the target values
+    assert resample_matrix(src, targets.copy()) is R
+    # an equal grid built afresh builds an equal matrix of its own
+    fresh = resample_matrix(make_grid(64, rule), targets)
+    assert fresh is not R
+    np.testing.assert_array_equal(fresh, R)
     with pytest.raises(ValueError):
         R[0, 0] = 1.0
 
@@ -156,21 +158,41 @@ def test_resample_matrix_rejects_non_vector_targets(gauss128):
         resample_matrix(gauss128, np.zeros((2, 3)))
 
 
-def test_resample_matrix_threaded_equals_serial():
-    cases = [
-        (make_grid(n, rule), make_grid(m, UNIFORM_TRAPEZOID).nodes)
-        for n in (32, 128)
-        for rule in (GAUSS_LEGENDRE, UNIFORM_TRAPEZOID)
-        for m in (257, 1001)
+def test_shared_grid_matrices_threaded_equal_serial():
+    # grids shared by every thread, each first read in the pool, so threads
+    # race on missing keys
+    rules = (GAUSS_LEGENDRE, UNIFORM_TRAPEZOID)
+    grids = [make_grid(n, rule) for n in (32, 128) for rule in rules]
+    targets = [make_grid(m, UNIFORM_TRAPEZOID).nodes for m in (257, 1001)]
+    serial = {
+        (i, j): _build_resample_matrix(g, t)
+        for i, g in enumerate(grids)
+        for j, t in enumerate(targets)
+    }
+    want_norms = [
+        sobolev_norm(GridFunction(make_grid(g.size, g.rule), g.nodes**2)) for g in grids
     ]
-    serial = [_build_resample_matrix(src, t) for src, t in cases]
-    # more keys than cache entries, so threads also race on evictions
-    _cached_resample_matrix.cache_clear()
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        futures = [pool.submit(resample_matrix, src, t) for src, t in cases * 3]
-        threaded = [f.result(timeout=60) for f in futures]
-    for got, want in zip(threaded, serial * 3):
-        np.testing.assert_array_equal(got, want)
+
+    def work(i, j):
+        g = grids[i]
+        return resample_matrix(g, targets[j]), sobolev_norm(GridFunction(g, g.nodes**2))
+
+    jobs = [key for key in serial for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(work, *key) for key in jobs]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (i, j), (R, norm) in zip(jobs, results):
+        np.testing.assert_array_equal(R, serial[(i, j)])
+        assert R is resample_matrix(grids[i], targets[j])
+        assert norm == want_norms[i]
+    for g in grids:
+        kept = g.memo("differentiation_matrix", None)
+        np.testing.assert_array_equal(kept, differentiation_matrix(g))
 
 
 def test_differentiation_matrix_spectral_on_gauss(gauss128):
@@ -201,7 +223,7 @@ def test_two_node_uniform_grid_cannot_be_differentiated():
         sobolev_norm(GridFunction(g, np.array([0.0, 1.0])))
 
 
-def test_sobolev_norm_builds_the_matrix_once_per_grid(gauss128, monkeypatch):
+def test_sobolev_norm_builds_the_matrix_once_per_grid(monkeypatch):
     calls = []
     original = function_space.differentiation_matrix
 
@@ -210,13 +232,12 @@ def test_sobolev_norm_builds_the_matrix_once_per_grid(gauss128, monkeypatch):
         return original(grid)
 
     monkeypatch.setattr(function_space, "differentiation_matrix", counting)
-    function_space._last_differentiation_matrix.cache_clear()
-    small = make_grid(16)
-    for grid in (gauss128, gauss128, small, small, gauss128):
+    large, small = make_grid(128), make_grid(16)
+    for grid in (large, large, small, small, large):
         want = np.sqrt(1.0 / 5.0 + 4.0 / 3.0)
         assert abs(sobolev_norm(GridFunction(grid, grid.nodes**2)) - want) < 1e-12
-    # only the latest grid's matrix is kept
-    assert calls == [128, 16, 128]
+    # each grid keeps its own matrix
+    assert calls == [128, 16]
 
 
 def test_sobolev_norm_of_square(gauss128):
@@ -336,6 +357,23 @@ def test_grid_function_validation(gauss128):
         GridFunction(gauss128, np.ones(5))
     with pytest.raises(ValueError):
         GridFunction(gauss128, np.full(128, np.nan))
+
+
+def test_grid_arrays_are_read_only_and_a_callers_array_is_copied():
+    nodes = np.array([0.0, 0.5, 1.0])
+    weights = np.array([0.25, 0.5, 0.25])
+    g = Grid(nodes, weights, UNIFORM_TRAPEZOID)
+    for a in (g.nodes, g.weights):
+        with pytest.raises(ValueError):
+            a[0] = 0.125
+    # the caller's arrays stay writeable and writing them leaves the grid alone
+    nodes[1] = 0.25
+    weights[1] = 0.75
+    np.testing.assert_array_equal(g.nodes, [0.0, 0.5, 1.0])
+    np.testing.assert_array_equal(g.weights, [0.25, 0.5, 0.25])
+    # read-only arrays are shared, not copied
+    again = Grid(g.nodes, g.weights, g.rule)
+    assert again.nodes is g.nodes and again.weights is g.weights
 
 
 def test_grid_validation_rejects_bad_inputs():

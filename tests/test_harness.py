@@ -25,7 +25,7 @@ from npivlab.harness import (
     run_svd_report,
 )
 from npivlab.dgp import phi0_on_grid
-from npivlab.function_space import GridFunction
+from npivlab.function_space import Grid, GridFunction
 from npivlab.operators import discretize, svd_report
 
 
@@ -694,6 +694,15 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="phi0_table needs phi0 = 'custom'"):
             config_from_mapping(raw)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("constraints", "convex"), ("lambdas", "1e-4"), ("lambdas", 1e-4)],
+    )
+    def test_list_fields_reject_a_string_or_a_bare_number(self, key, value):
+        raw = {"experiment": "estimator_comparison", key: value}
+        with pytest.raises(ConfigError, match=f"{key} must be a list, got {value!r}"):
+            config_from_mapping(raw)
+
     def test_inspection_size_must_fit_every_constraint_order(self):
         raw = {
             "experiment": "estimator_comparison",
@@ -766,7 +775,6 @@ class TestRunInvariantWork:
 
     def test_demo_builds_one_differentiation_matrix(self, monkeypatch):
         builds = self._count(monkeypatch, function_space, "differentiation_matrix")
-        function_space._last_differentiation_matrix.cache_clear()
         resamples = self._count(monkeypatch, function_space, "resample_matrix")
         cfg = demo_config(quadrature_size=32, inspection_size=101, n_max=20)
         table = run_illposedness_demo(cfg)
@@ -774,3 +782,25 @@ class TestRunInvariantWork:
         assert len(builds) == 1
         # each perturbed function is resampled once for its three shape checks
         assert len(resamples) == 21
+
+    def test_montecarlo_builds_one_penalty_form_and_keeps_its_rows(self, monkeypatch):
+        import npivlab.estimators as estimators_mod
+        import npivlab.harness as harness_mod
+
+        cfg = mc_config(quadrature_size=32, z_size=24, replications=3, sample_size=500)
+        real = harness_mod.sampled_plugin
+
+        def copy(g):
+            return Grid(g.nodes.copy(), g.weights.copy(), g.rule)
+
+        def fresh_grids(draws, x_grid, z_grid, work=None):
+            # equal grids of its own per replication, so nothing is shared
+            return real(draws, copy(x_grid), copy(z_grid), work=work)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness_mod, "sampled_plugin", fresh_grids)
+            unshared = run_montecarlo(cfg)
+        builds = self._count(monkeypatch, estimators_mod, "differentiation_matrix")
+        shared = run_montecarlo(cfg)
+        assert len(builds) == 1
+        assert shared.rows == unshared.rows

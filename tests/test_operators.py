@@ -383,8 +383,14 @@ class TestFactorizationCache:
         naive_estimate(A, r)
         tir_estimate(A, r, 1e-4)
         constrained_estimate(A, r, cset)
+        # the penalty form and its Gram depend on the x grid alone, so they
+        # are kept there, beside the constraint rows' resample matrix
         keys = {k if isinstance(k, str) else k[0] for k in A._cache}
-        assert {"derivative_form", "tikhonov_grams", "constraint_rows"} <= keys
+        assert keys == {
+            "weighted", "svd", "gram", "tir_eigenvalue_floor", "constraint_rows"
+        }
+        grid_keys = {k if isinstance(k, str) else k[0] for k in A.x_grid._cache}
+        assert grid_keys == {"penalty_form", "penalty_gram", "resample"}
 
         def arrays(value):
             if isinstance(value, np.ndarray):
@@ -395,8 +401,9 @@ class TestFactorizationCache:
             elif isinstance(value, TruncatedSvd):
                 yield from (value.U, value.s, value.Vt)
 
-        cached = [a for value in A._cache.values() for a in arrays(value)]
-        assert len(cached) == 8
+        values = [*A._cache.values(), *A.x_grid._cache.values()]
+        cached = [a for value in values for a in arrays(value)]
+        assert len(cached) == 9
         for a in cached:
             assert not a.flags.writeable
             with pytest.raises(ValueError):

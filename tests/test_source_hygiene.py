@@ -93,7 +93,7 @@ def test_the_census_does_not_count_an_assignment_as_a_use():
 
 
 # One factorization per operator: the operator's own SVD is the only SVD call
-# site; the derivative form is built once per operator, through its memo.
+# site; the derivative form is built once per grid, through the grid's memo.
 SVD_SITES = [("operators.py", "DiscreteOperator._build_svd", None)]
 
 
@@ -161,6 +161,47 @@ def _derivative_form_uses_outside_memo(path: Path) -> list:
     return stray
 
 
-def test_derivative_form_is_reached_only_through_the_operator_memo():
+def test_derivative_form_is_reached_only_through_a_memo():
     assert any("def _derivative_form" in p.read_text(encoding="utf-8") for p in MODULES)
     assert [s for p in MODULES for s in _derivative_form_uses_outside_memo(p)] == []
+
+
+# Derived values are kept on the immutable object they come from, through one
+# memo; a functools cache would key them elsewhere and size them by hand.
+FUNCTOOLS_CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+def _functools_caches(tree: ast.Module) -> list:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in FUNCTOOLS_CACHES:
+            if ast.unparse(node.value) == "functools":
+                found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [node.lineno for a in node.names if a.name in FUNCTOOLS_CACHES]
+    return found
+
+
+def test_one_memo_and_no_functools_caches():
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in MODULES
+    }
+    assert {name: _functools_caches(tree) for name, tree in trees.items()} == {
+        name: [] for name in trees
+    }
+    memos = [
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "memo"
+    ]
+    assert memos == ["function_space.py"]
+
+
+def test_the_cache_census_sees_both_spellings():
+    tree = ast.parse(
+        "import functools\nfrom functools import cache\n"
+        "@functools.lru_cache(maxsize=1)\ndef f(): pass\n"
+    )
+    assert _functools_caches(tree) == [2, 3]
