@@ -32,6 +32,7 @@ from .counterexamples import MONOTONE, CounterexampleSpec, psi
 from .function_space import (
     Grid,
     GridFunction,
+    GridMismatchError,
     ShapeConstraint,
     _read_only,
     default_inspection_grid,
@@ -112,7 +113,7 @@ class EstimateResult:
 
 def _weighted_system(A: DiscreteOperator, r: GridFunction):
     if not r.grid.same_as(A.z_grid):
-        raise ValueError("r must live on the operator's z grid")
+        raise GridMismatchError("r must live on the operator's z grid")
     M = weighted_matrix(A)
     sw = np.sqrt(A.x_grid.weights)
     rt = np.sqrt(A.fz_weights) * r.values
@@ -185,19 +186,13 @@ def naive_estimate(A: DiscreteOperator, r: GridFunction) -> EstimateResult:
     M, sw, rt = _weighted_system(A, r)
     f = A.svd
     J = f.rank
-    if J == 0:
-        u = np.zeros(M.shape[1])
-        sigma_min = 0.0
-    else:
-        coeffs = (f.U[:, :J].T @ rt) / f.s[:J]
-        u = f.Vt[:J].T @ coeffs
-        sigma_min = float(f.s[J - 1])
+    u = f.Vt.T @ ((f.U.T @ rt) / f.s[:J])
     fit = float(np.linalg.norm(M @ u - rt) ** 2)
     return EstimateResult(
         phi_hat=GridFunction(A.x_grid, u / sw),
         objective=fit,
         kkt_residual=0.0,
-        condition_diagnostic=sigma_min,
+        condition_diagnostic=float(f.s[J - 1]),
     )
 
 
@@ -350,17 +345,9 @@ def constrained_estimate(
     """
     M, sw, rt = _weighted_system(A, r)
     f = A.svd
-    J = f.rank
-    if J == 0:
-        return EstimateResult(
-            phi_hat=GridFunction(A.x_grid, np.zeros(M.shape[1])),
-            objective=float(rt @ rt),
-            kkt_residual=0.0,
-            condition_diagnostic=0.0,
-        )
-    Sj = f.s[:J]
-    d = f.U[:, :J].T @ rt
-    V = f.Vt[:J].T
+    Sj = f.s[: f.rank]
+    d = f.U.T @ rt
+    V = f.Vt.T
     # V is the operator's own, so the rows depend on it and the set alone.
     # A Grid holds arrays, so the set is keyed by value, not hashed.
     grid = constraints.inspection_grid
@@ -477,7 +464,7 @@ def _probe_directions(A: DiscreteOperator):
     f = A.svd
     sqrt_fzw = np.sqrt(fzw)
     inv = np.where(sqrt_fzw > 0, 1.0 / np.where(sqrt_fzw > 0, sqrt_fzw, 1.0), 0.0)
-    worst = f.U[:, max(f.rank, 1) - 1] * inv
+    worst = f.U[:, -1] * inv
 
     direction = psi(CounterexampleSpec(MONOTONE, PROBE_PSI_INDEX), A.x_grid)
     image = apply(A, direction).values

@@ -1,10 +1,10 @@
 """Grids, quadrature, and L2/Sobolev geometry on [0, 1].
 
 Everything downstream works with functions represented by their values on a
-quadrature grid. Two grid rules are supported: Gauss-Legendre (for accurate
-integration of smooth integrands) and uniform with trapezoid weights (for
-finite differences and shape inspection, where equally spaced nodes keep the
-difference stencils well scaled).
+quadrature grid. Two grid rules are supported: Gauss-Legendre, the only rule
+functions are resampled from or differentiated on, and uniform with trapezoid
+weights, a target only: shape inspection (equally spaced nodes keep the
+difference checks well scaled) and sampled-mode z quadrature.
 """
 
 from __future__ import annotations
@@ -200,6 +200,8 @@ def l2_norm(f: GridFunction) -> float:
 
 
 def _barycentric_weights(grid: Grid) -> np.ndarray:
+    if grid.rule != GAUSS_LEGENDRE:
+        raise ValueError(f"a {grid.rule!r} grid cannot be a source grid")
     # For Gauss-Legendre nodes the barycentric weights have the closed form
     # (-1)^i sqrt((1 - t_i^2) w_i) in the [-1, 1] variables, up to a common
     # scale that cancels in the interpolation formula.
@@ -211,9 +213,9 @@ def _barycentric_weights(grid: Grid) -> np.ndarray:
 def resample_matrix(src: Grid, targets: np.ndarray) -> np.ndarray:
     """Matrix taking values on ``src`` to interpolated values at ``targets``.
 
-    Barycentric polynomial interpolation from Gauss grids (the functions in
-    this package are polynomials or analytic, so this is essentially exact),
-    linear interpolation from uniform grids.
+    Barycentric polynomial interpolation (the functions in this package are
+    polynomials or analytic, so this is essentially exact). Gauss sources
+    only: any other source raises ValueError.
 
     The matrix is built once per target values and kept on ``src``, so
     every caller gets the same shared array for as long as the grid lives.
@@ -229,26 +231,15 @@ def resample_matrix(src: Grid, targets: np.ndarray) -> np.ndarray:
 
 
 def _build_resample_matrix(src: Grid, targets: np.ndarray) -> np.ndarray:
-    if src.rule == GAUSS_LEGENDRE:
-        bw = _barycentric_weights(src)
-        diff = targets[:, None] - src.nodes[None, :]
-        # Take the exact-node mask before diff is overwritten by the terms.
-        exact_rows, exact_cols = np.nonzero(np.abs(diff) < 1e-14)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            R = np.divide(bw, diff, out=diff)
-            R /= R.sum(axis=1, keepdims=True)
-        R[exact_rows] = 0.0
-        R[exact_rows, exact_cols] = 1.0
-        return R
-    # linear interpolation weights from a uniform grid
-    R = np.zeros((targets.size, src.size))
-    idx = np.clip(np.searchsorted(src.nodes, targets) - 1, 0, src.size - 2)
-    x0 = src.nodes[idx]
-    x1 = src.nodes[idx + 1]
-    frac = (targets - x0) / (x1 - x0)
-    rows = np.arange(targets.size)
-    R[rows, idx] = 1.0 - frac
-    R[rows, idx + 1] = frac
+    bw = _barycentric_weights(src)
+    diff = targets[:, None] - src.nodes[None, :]
+    # Take the exact-node mask before diff is overwritten by the terms.
+    exact_rows, exact_cols = np.nonzero(np.abs(diff) < 1e-14)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        R = np.divide(bw, diff, out=diff)
+        R /= R.sum(axis=1, keepdims=True)
+    R[exact_rows] = 0.0
+    R[exact_rows, exact_cols] = 1.0
     return R
 
 
@@ -262,30 +253,16 @@ def resample(f: GridFunction, target: Grid) -> GridFunction:
 def differentiation_matrix(grid: Grid) -> np.ndarray:
     """Differentiation matrix on the grid's own nodes.
 
-    On Gauss grids this differentiates the interpolating polynomial
-    (spectral accuracy for the analytic functions used here). On uniform
-    grids it applies second-order finite differences, central at interior
-    nodes and one-sided three-point at the endpoints (exact for quadratics
-    up to rounding), which need at least 3 nodes.
+    It differentiates the interpolating polynomial (spectral accuracy for
+    the analytic functions used here). Gauss grids only: any other grid
+    raises ValueError.
     """
-    n = grid.size
-    if grid.rule == GAUSS_LEGENDRE:
-        bw = _barycentric_weights(grid)
-        diff = grid.nodes[:, None] - grid.nodes[None, :]
-        np.fill_diagonal(diff, 1.0)
-        D = (bw[None, :] / bw[:, None]) / diff
-        np.fill_diagonal(D, 0.0)
-        np.fill_diagonal(D, -D.sum(axis=1))
-        return D
-    if n < 3:
-        raise ValueError("differentiation on a uniform grid requires at least 3 nodes")
-    h = grid.nodes[1] - grid.nodes[0]
-    D = np.zeros((n, n))
-    i = np.arange(1, n - 1)
-    D[i, i - 1] = -0.5 / h
-    D[i, i + 1] = 0.5 / h
-    D[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
-    D[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
+    bw = _barycentric_weights(grid)
+    diff = grid.nodes[:, None] - grid.nodes[None, :]
+    np.fill_diagonal(diff, 1.0)
+    D = (bw[None, :] / bw[:, None]) / diff
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(axis=1))
     return D
 
 

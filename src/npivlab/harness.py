@@ -28,6 +28,7 @@ import numpy as np
 
 from .counterexamples import (
     FAMILIES,
+    MAX_INDEX,
     CounterexampleSpec,
     analytic_sup_A_psi_bound,
     perturb,
@@ -43,6 +44,7 @@ from .estimators import (
     tir_estimate,
 )
 from .function_space import (
+    DEFAULT_INSPECTION_SIZE,
     UNIFORM_TRAPEZOID,
     GridFunction,
     ShapeConstraint,
@@ -95,6 +97,7 @@ _TYPE_RULES = {
     "int": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
     "float": ("a finite number", lambda v: _is_number(v) and math.isfinite(v)),
     "tuple": ("a list", lambda v: isinstance(v, (list, tuple))),
+    "str | None": ("a string", lambda v: v is None or isinstance(v, str)),
 }
 
 
@@ -109,7 +112,7 @@ class ExperimentConfig:
     experiment: str
     dgp: DgpSpec = field(default_factory=DgpSpec)
     quadrature_size: int = 128
-    inspection_size: int = 1001
+    inspection_size: int = DEFAULT_INSPECTION_SIZE
     z_size: int = 128
     family: str = "monotone"
     n_max: int = 100
@@ -145,10 +148,10 @@ class ExperimentConfig:
             raise ConfigError("inspection_size must be at least 4")
         if self.n_max < 0:
             raise ConfigError("n_max must be nonnegative")
-        if self.n_max > 200:
+        if self.n_max > MAX_INDEX:
             raise ConfigError(
-                f"n_max must not exceed 200 (got {self.n_max}); the power-law "
-                "normalizers overflow beyond that index"
+                f"n_max must not exceed {MAX_INDEX} (got {self.n_max}); the "
+                "power-law normalizers overflow beyond that index"
             )
         if self.ball_radius <= 0:
             raise ConfigError("ball_radius must be positive")
@@ -483,8 +486,6 @@ def _format_cell(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return "%.17g" % float(value)
-    if value is None:
-        return ""
     return str(value)
 
 
@@ -547,8 +548,6 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
     dgp_raw = kwargs.pop("dgp", None)
     if dgp_raw is None:
         dgp = DgpSpec()
-    elif isinstance(dgp_raw, DgpSpec):
-        dgp = dgp_raw
     elif isinstance(dgp_raw, dict):
         dgp_keys = {f.name for f in fields(DgpSpec)}
         for key in dgp_raw:

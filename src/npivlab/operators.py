@@ -48,17 +48,17 @@ SVD_TRUNCATION_RTOL = 1e-12
 
 def _truncation_rank(s: np.ndarray) -> int:
     """Count of singular values above SVD_TRUNCATION_RTOL times the largest."""
-    return int(np.sum(s > SVD_TRUNCATION_RTOL * (s[0] if s.size else 0.0)))
+    return int(np.sum(s > SVD_TRUNCATION_RTOL * s[0]))
 
 
 @dataclass(frozen=True)
 class TruncatedSvd:
     """Thin SVD of the weighted matrix, truncated at SVD_TRUNCATION_RTOL.
 
-    rank J counts the singular values above SVD_TRUNCATION_RTOL times the
-    largest; U holds the first max(J, 1) left vectors as columns, Vt the
-    first max(J, 1) right vectors as rows, and s every singular value. The
-    arrays are shared by every solve on the operator and are read-only.
+    rank J >= 1 counts the singular values above SVD_TRUNCATION_RTOL times
+    the largest; U holds the first J left vectors as columns, Vt the first J
+    right vectors as rows, and s every singular value. The arrays are shared
+    by every solve on the operator and are read-only.
     """
 
     U: np.ndarray
@@ -73,8 +73,9 @@ class DiscreteOperator(Memoized):
 
     kernel_matrix[j, i] = f_{X|Z}(x_i | z_j) * w_i, one row per z node.
     fz_weights[j] = z-quadrature weight times f_Z(z_j); rows excluded by a
-    sampled-mode degeneracy flag carry fz_weight 0. Both are stored
-    read-only.
+    sampled-mode degeneracy flag carry fz_weight 0. Not all may, since one
+    positive weight on a kernel row (which sums to 1) gives rank J >= 1.
+    Both are stored read-only.
     """
 
     x_grid: Grid
@@ -97,6 +98,8 @@ class DiscreteOperator(Memoized):
             raise ValueError("kernel rows must integrate to 1 within 1e-8")
         if fzw.shape != (self.z_grid.size,) or np.any(fzw < 0):
             raise ValueError("fz_weights must be nonnegative, one per z node")
+        if not fzw.any():
+            raise ValueError("fz_weights must not all be zero")
 
     @property
     def svd(self) -> TruncatedSvd:
@@ -107,11 +110,10 @@ class DiscreteOperator(Memoized):
         U, s, Vt = np.linalg.svd(weighted_matrix(self), full_matrices=False)
         J = _truncation_rank(s)
         # Copies of the retained block only, so the full factors can go.
-        k = max(J, 1)
         return TruncatedSvd(
-            U=_read_only(U[:, :k].copy()),
+            U=_read_only(U[:, :J].copy()),
             s=_read_only(s),
-            Vt=_read_only(Vt[:k].copy()),
+            Vt=_read_only(Vt[:J].copy()),
             rank=J,
         )
 
@@ -178,7 +180,7 @@ def svd_report(A: DiscreteOperator) -> SvdReport:
     """
     f = A.svd
     s = f.s
-    positive = s > (1e-14 * s[0] if s.size and s[0] > 0 else 0.0)
+    positive = s > 1e-14 * s[0]
     if positive.sum() >= 2:
         k = np.arange(1, s.size + 1)[positive]
         slope = float(np.polyfit(k, np.log(s[positive]), 1)[0])

@@ -136,6 +136,23 @@ def test_list_field_given_a_scalar_exits_2(tmp_path, capsys, key, value):
     assert f"{key} must be a list, got {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [True, 3, ["a.csv"]])
+def test_non_string_out_exits_2_before_any_computation(
+    tmp_path, monkeypatch, capsys, value
+):
+    def must_not_run(cfg):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "run_experiment", must_not_run)
+    cfg_path = tmp_path / "out.json"
+    cfg_path.write_text(json.dumps({"experiment": "svd_report", "out": value}))
+    assert cli.main(["svd", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "out must be a string" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert cli.main(["svd", "--config", str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err

@@ -118,15 +118,7 @@ def test_resample_same_grid_is_identity(gauss128):
     np.testing.assert_array_equal(resample(f, gauss128).values, f.values)
 
 
-def test_resample_from_uniform_is_linear_interpolation():
-    src = make_grid(11, UNIFORM_TRAPEZOID)
-    f = GridFunction(src, src.nodes**2)
-    target = make_grid(21, UNIFORM_TRAPEZOID)
-    got = resample(f, target)
-    np.testing.assert_allclose(got.values, np.interp(target.nodes, src.nodes, f.values))
-
-
-@pytest.mark.parametrize("rule", [GAUSS_LEGENDRE, UNIFORM_TRAPEZOID])
+@pytest.mark.parametrize("rule", [GAUSS_LEGENDRE])
 def test_resample_matrix_is_memoized_and_read_only(rule):
     src = make_grid(64, rule)
     targets = default_inspection_grid().nodes
@@ -142,7 +134,7 @@ def test_resample_matrix_is_memoized_and_read_only(rule):
         R[0, 0] = 1.0
 
 
-@pytest.mark.parametrize("rule", [GAUSS_LEGENDRE, UNIFORM_TRAPEZOID])
+@pytest.mark.parametrize("rule", [GAUSS_LEGENDRE])
 def test_resample_matrix_rows_at_source_nodes_are_unit_rows(rule):
     src = make_grid(16, rule)
     cols = np.array([0, 5, 15])
@@ -161,8 +153,7 @@ def test_resample_matrix_rejects_non_vector_targets(gauss128):
 def test_shared_grid_matrices_threaded_equal_serial():
     # grids shared by every thread, each first read in the pool, so threads
     # race on missing keys
-    rules = (GAUSS_LEGENDRE, UNIFORM_TRAPEZOID)
-    grids = [make_grid(n, rule) for n in (32, 128) for rule in rules]
+    grids = [make_grid(n) for n in (32, 64, 96, 128)]
     targets = [make_grid(m, UNIFORM_TRAPEZOID).nodes for m in (257, 1001)]
     serial = {
         (i, j): _build_resample_matrix(g, t)
@@ -170,7 +161,7 @@ def test_shared_grid_matrices_threaded_equal_serial():
         for j, t in enumerate(targets)
     }
     want_norms = [
-        sobolev_norm(GridFunction(make_grid(g.size, g.rule), g.nodes**2)) for g in grids
+        sobolev_norm(GridFunction(make_grid(g.size), g.nodes**2)) for g in grids
     ]
 
     def work(i, j):
@@ -203,24 +194,16 @@ def test_differentiation_matrix_spectral_on_gauss(gauss128):
     assert np.abs(D @ np.ones(128)).max() < 1e-10
 
 
-def test_differentiation_matrix_uniform_matches_stencil_loop():
-    g = make_grid(9, UNIFORM_TRAPEZOID)
-    n, h = g.size, g.nodes[1] - g.nodes[0]
-    want = np.zeros((n, n))
-    for i in range(1, n - 1):
-        want[i, i - 1] = -0.5 / h
-        want[i, i + 1] = 0.5 / h
-    want[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
-    want[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
-    np.testing.assert_array_equal(differentiation_matrix(g), want)
-
-
-def test_two_node_uniform_grid_cannot_be_differentiated():
-    g = make_grid(2, UNIFORM_TRAPEZOID)
-    with pytest.raises(ValueError, match="at least 3 nodes"):
+def test_uniform_source_grid_is_rejected():
+    # uniform grids are targets only: nothing is resampled from them or
+    # differentiated on them
+    g = make_grid(11, UNIFORM_TRAPEZOID)
+    with pytest.raises(ValueError, match="cannot be a source grid"):
+        resample_matrix(g, make_grid(32).nodes)
+    with pytest.raises(ValueError, match="cannot be a source grid"):
         differentiation_matrix(g)
-    with pytest.raises(ValueError, match="at least 3 nodes"):
-        sobolev_norm(GridFunction(g, np.array([0.0, 1.0])))
+    with pytest.raises(ValueError, match="cannot be a source grid"):
+        sobolev_norm(GridFunction(g, g.nodes**2))
 
 
 def test_sobolev_norm_builds_the_matrix_once_per_grid(monkeypatch):

@@ -342,9 +342,10 @@ class TestMontecarlo:
 
         real = harness_mod.sampled_plugin
         cfg = mc_config(replications=3, sample_size=500)
+        degenerate_seeds = {cfg.seed + 1}
 
         def flaky(draws, x_grid, z_grid, work=None):
-            if draws.seed == cfg.seed + 1:
+            if draws.seed in degenerate_seeds:
                 raise DegenerateSampleError("synthetic degenerate draw")
             return real(draws, x_grid, z_grid, work=work)
 
@@ -357,6 +358,15 @@ class TestMontecarlo:
         assert {row[1] for row in ok} == {0, 2}
         means = [row for row in table.rows if row[0] == "mean"]
         assert means and all(math.isfinite(row[5]) for row in means)
+        # every replication degenerate: the run still returns its table, and
+        # the summary rows have nothing to average
+        degenerate_seeds.update(cfg.seed + i for i in range(cfg.replications))
+        table = run_montecarlo(cfg)
+        replications = [row for row in table.rows if row[0] == "replication"]
+        assert len(replications) == 6
+        assert all(row[6] == "degenerate" for row in replications)
+        summary = [row for row in table.rows if row[0] in ("mean", "sd")]
+        assert len(summary) == 4 and all(math.isnan(row[5]) for row in summary)
 
     def test_previous_operator_is_released_before_the_next_sample(self, monkeypatch):
         # each operator carries its cached factorizations; keeping it alive
@@ -702,6 +712,13 @@ class TestConfigLoading:
         raw = {"experiment": "estimator_comparison", key: value}
         with pytest.raises(ConfigError, match=f"{key} must be a list, got {value!r}"):
             config_from_mapping(raw)
+
+    @pytest.mark.parametrize("value", [True, 3, ["a.csv"]])
+    def test_out_must_be_a_string(self, value):
+        raw = {"experiment": "svd_report", "out": value}
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_mapping(raw)
+        assert str(excinfo.value) == f"out must be a string, got {value!r}"
 
     def test_inspection_size_must_fit_every_constraint_order(self):
         raw = {

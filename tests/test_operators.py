@@ -95,6 +95,9 @@ def test_apply_grid_mismatch(problem):
         apply(A, wrong)
     with pytest.raises(GridMismatchError):
         q_infinity(A, phi0, wrong)
+    # every estimator reads its data through the same z-grid check
+    with pytest.raises(GridMismatchError):
+        naive_estimate(A, wrong)
 
 
 def test_flat_case_image_of_member_is_its_integral(independent):
@@ -326,6 +329,11 @@ def test_operator_validation():
     with pytest.raises(ValueError):
         DiscreteOperator(
             x_grid=x, z_grid=z, kernel_matrix=good[:3], fz_weights=z.weights
+        )
+    # every z node flagged: the weighted matrix would have rank 0
+    with pytest.raises(ValueError, match="all be zero"):
+        DiscreteOperator(
+            x_grid=x, z_grid=z, kernel_matrix=good, fz_weights=np.zeros(4)
         )
     for field in ("kernel_matrix", "fz_weights"):
         parts = {"kernel_matrix": good.copy(), "fz_weights": z.weights.copy()}

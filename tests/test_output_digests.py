@@ -15,12 +15,15 @@ these tables fails here.
 The digests hold at OpenBLAS's default thread count. BLAS results depend on
 the thread count: with ``OPENBLAS_NUM_THREADS=1`` the ``compare``,
 ``compare_n512`` and both ``montecarlo`` cases fail, and did so already when
-this gate was recorded; the ``svd_report``, mixed-comparison and probe
-digests hold at both.
+this gate was recorded; the ``demo``, ``svd_report``, mixed-comparison and
+probe digests hold at both, and the last test checks them at one thread.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -134,3 +137,35 @@ def test_stability_probe_rows_match_recorded_digest():
         for row in stability_probe(A, r, [0.0, 1e-6], 1e-4)
     )
     assert hashlib.sha256(text.encode()).hexdigest() == STABILITY_PROBE_DIGEST
+
+
+# The digests above that do not depend on the BLAS thread count.
+ONE_THREAD_CASES = (
+    "test_table_bytes_match_recorded_digest[demo]",
+    "test_svd_report_bytes_match_recorded_digest",
+    "test_mixed_comparison_bytes_match_recorded_digest",
+    "test_stability_probe_rows_match_recorded_digest",
+)
+
+
+def test_thread_invariant_digests_hold_at_one_blas_thread():
+    """Rerun ONE_THREAD_CASES in a child process at one BLAS thread.
+
+    A child, because OpenBLAS reads its thread count when numpy is imported.
+    The compare, compare_n512 and both montecarlo cases are left out: at one
+    thread the comparisons' Tikhonov rows (LU solve, eigvalsh floor) and
+    montecarlo's plug-in kernel-block product round differently, so those
+    four digests hold only at the default thread count.
+    """
+    here = Path(__file__).resolve()
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    cases = [f"{here}::{case}" for case in ONE_THREAD_CASES]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", *cases],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=here.parents[1],
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert f"{len(ONE_THREAD_CASES)} passed" in proc.stdout
