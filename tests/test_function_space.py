@@ -206,6 +206,14 @@ def test_uniform_source_grid_is_rejected():
         sobolev_norm(GridFunction(g, g.nodes**2))
 
 
+def test_two_node_uniform_grid_cannot_be_differentiated():
+    g = make_grid(2, UNIFORM_TRAPEZOID)
+    with pytest.raises(ValueError, match="cannot be a source grid"):
+        differentiation_matrix(g)
+    with pytest.raises(ValueError, match="cannot be a source grid"):
+        sobolev_norm(GridFunction(g, np.array([0.0, 1.0])))
+
+
 def test_sobolev_norm_builds_the_matrix_once_per_grid(monkeypatch):
     calls = []
     original = function_space.differentiation_matrix
