@@ -30,6 +30,7 @@ from scipy.optimize import nnls
 
 from .counterexamples import MONOTONE, CounterexampleSpec, psi
 from .function_space import (
+    UNIFORM_TRAPEZOID,
     Grid,
     GridFunction,
     GridMismatchError,
@@ -62,8 +63,9 @@ class ConstraintSet:
     """Shape constraints enforced as linear inequalities on grid values.
 
     Each constraint contributes the rows of an m-th order difference matrix
-    applied to the estimate's values on the inspection grid, which must
-    hold at least m + 2 nodes.
+    applied to the estimate's values on the inspection grid, which must be
+    uniform (so the differences mean the shapes they name) and hold at least
+    m + 2 nodes.
     """
 
     constraints: tuple
@@ -71,6 +73,8 @@ class ConstraintSet:
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
+        if self.inspection_grid.rule != UNIFORM_TRAPEZOID:
+            raise ValueError("ConstraintSet requires a uniform inspection grid")
         for c in self.constraints:
             if not isinstance(c, ShapeConstraint):
                 raise ValueError("constraints must be ShapeConstraint instances")
@@ -104,7 +108,6 @@ class ConstraintSet:
 @dataclass(frozen=True)
 class EstimateResult:
     phi_hat: GridFunction
-    objective: float
     kkt_residual: float
     condition_diagnostic: float
     converged: bool = True
@@ -112,7 +115,7 @@ class EstimateResult:
 
 
 def _weighted_system(A: DiscreteOperator, r: GridFunction):
-    if not r.grid.same_as(A.z_grid):
+    if r.grid != A.z_grid:
         raise GridMismatchError("r must live on the operator's z grid")
     M = weighted_matrix(A)
     sw = np.sqrt(A.x_grid.weights)
@@ -160,8 +163,6 @@ def tir_estimate(A: DiscreteOperator, r: GridFunction, lam: float) -> EstimateRe
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"normal equations solve failed: {exc}") from exc
     kkt = float(np.linalg.norm(H @ u - b))
-    fit = float(np.linalg.norm(M @ u - rt) ** 2)
-    pen = float(u @ u) + float(np.linalg.norm(F @ u) ** 2)
     # H depends on the operator and lam only, not on r.
     smallest_eig = A.memo(
         ("tir_eigenvalue_floor", lam),
@@ -169,7 +170,6 @@ def tir_estimate(A: DiscreteOperator, r: GridFunction, lam: float) -> EstimateRe
     )
     return EstimateResult(
         phi_hat=GridFunction(A.x_grid, u / sw),
-        objective=fit + lam * pen,
         kkt_residual=kkt,
         condition_diagnostic=smallest_eig,
     )
@@ -183,14 +183,12 @@ def naive_estimate(A: DiscreteOperator, r: GridFunction) -> EstimateResult:
     reciprocal of the smallest retained value. condition_diagnostic reports
     that smallest retained singular value.
     """
-    M, sw, rt = _weighted_system(A, r)
+    _, sw, rt = _weighted_system(A, r)
     f = A.svd
     J = f.rank
     u = f.Vt.T @ ((f.U.T @ rt) / f.s[:J])
-    fit = float(np.linalg.norm(M @ u - rt) ** 2)
     return EstimateResult(
         phi_hat=GridFunction(A.x_grid, u / sw),
-        objective=fit,
         kkt_residual=0.0,
         condition_diagnostic=float(f.s[J - 1]),
     )
@@ -343,23 +341,20 @@ def constrained_estimate(
     stalls or hits the iteration cap, the best iterate found with
     converged = False and the honest residual.
     """
-    M, sw, rt = _weighted_system(A, r)
+    _, sw, rt = _weighted_system(A, r)
     f = A.svd
     Sj = f.s[: f.rank]
     d = f.U.T @ rt
     V = f.Vt.T
     # V is the operator's own, so the rows depend on it and the set alone.
-    # A Grid holds arrays, so the set is keyed by value, not hashed.
-    grid = constraints.inspection_grid
     A_red = A.memo(
-        ("constraint_rows", constraints.constraints, grid.rule, grid.nodes.tobytes()),
+        ("constraint_rows", constraints),
         lambda: _read_only(constraints.rows(A.x_grid, V)),
     )
     y, mu, iterations, converged = _solve_inequality_qp(Sj, d, A_red, maxit)
     u = V @ y
     return EstimateResult(
         phi_hat=GridFunction(A.x_grid, u / sw),
-        objective=float(np.linalg.norm(M @ u - rt) ** 2),
         kkt_residual=_qp_certificate(Sj, d, A_red, y, mu),
         condition_diagnostic=float(Sj[-1]),
         converged=converged,

@@ -10,7 +10,7 @@ difference checks well scaled) and sampled-mode z quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,55 +51,42 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _frozen(a) -> np.ndarray:
-    """a as a read-only float array; a writeable input is copied first, so
-    nothing cached from it can go stale and the caller's array is left alone."""
-    a = np.asarray(a, dtype=float)
-    return _read_only(a.copy() if a.flags.writeable else a)
-
-
 @dataclass(frozen=True)
 class Grid(Memoized):
-    """Quadrature rule on [0, 1]: ordered nodes and positive weights.
+    """Quadrature rule on [0, 1], fixed by its size and rule.
 
-    Weights sum to 1 (the integral of the constant function), so quadrature
-    is ``sum(w * f)``. Nodes and weights are stored read-only.
+    Gauss-Legendre nodes/weights come from the classical rule on [-1, 1]
+    mapped affinely; with m nodes it integrates polynomials of degree
+    2m - 1 exactly. The uniform rule uses trapezoid weights. Either way the
+    weights sum to 1 (the integral of the constant function), so quadrature
+    is ``sum(w * f)``. Nodes and weights are derived and read-only, grids
+    compare and hash by (size, rule), and each grid keeps its own memo.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    size: int
     rule: str
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _frozen(self.nodes))
-        object.__setattr__(self, "weights", _frozen(self.weights))
-        if self.nodes.ndim != 1 or self.weights.shape != self.nodes.shape:
-            raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        if not (np.isfinite(self.nodes).all() and np.isfinite(self.weights).all()):
-            raise ValueError("grid nodes and weights must be finite")
-        if np.any(np.diff(self.nodes) <= 0):
-            raise ValueError("grid nodes must be strictly increasing")
-        if self.nodes[0] < -1e-15 or self.nodes[-1] > 1 + 1e-15:
-            raise ValueError("grid nodes must lie in [0, 1]")
-        if np.any(self.weights <= 0):
-            raise ValueError("quadrature weights must be positive")
-        if abs(self.weights.sum() - 1.0) > 1e-14:
-            raise ValueError("quadrature weights must sum to 1")
-
-    @property
-    def size(self) -> int:
-        return self.nodes.size
-
-    def same_as(self, other: "Grid") -> bool:
-        """Same rule, nodes and weights (a grid is always the same as itself)."""
-        if self is other:
-            return True
-        return (
-            self.rule == other.rule
-            and self.size == other.size
-            and np.array_equal(self.nodes, other.nodes)
-            and np.array_equal(self.weights, other.weights)
-        )
+        size = self.size
+        if self.rule == GAUSS_LEGENDRE:
+            if size < 1:
+                raise ValueError("grid size must be at least 1")
+            t, w = np.polynomial.legendre.leggauss(size)
+            nodes = 0.5 * (t + 1.0)
+            weights = 0.5 * w
+        elif self.rule == UNIFORM_TRAPEZOID:
+            if size < 2:
+                raise ValueError("a uniform trapezoid grid needs at least 2 nodes")
+            nodes = np.linspace(0.0, 1.0, size)
+            h = 1.0 / (size - 1)
+            weights = np.full(size, h)
+            weights[0] = weights[-1] = h / 2.0
+        else:
+            raise ValueError(f"unknown grid rule {self.rule!r}")
+        object.__setattr__(self, "nodes", _read_only(nodes))
+        object.__setattr__(self, "weights", _read_only(weights))
 
 
 @dataclass(frozen=True)
@@ -160,39 +147,9 @@ class ShapeConstraint:
         return self.kind
 
 
-@dataclass(frozen=True)
-class ShapeVerdict:
-    satisfied: bool
-    worst_node: float | None = None
-    worst_slack: float | None = None
-
-    def __bool__(self) -> bool:
-        return self.satisfied
-
-
 def make_grid(size: int, rule: str = GAUSS_LEGENDRE) -> Grid:
-    """Build a quadrature grid of the given size on [0, 1].
-
-    Gauss-Legendre nodes/weights come from the classical rule on [-1, 1]
-    mapped affinely; with m nodes it integrates polynomials of degree
-    2m - 1 exactly. The uniform rule uses trapezoid weights.
-    """
-    if rule == GAUSS_LEGENDRE:
-        if size < 1:
-            raise ValueError("grid size must be at least 1")
-        t, w = np.polynomial.legendre.leggauss(size)
-        nodes = 0.5 * (t + 1.0)
-        weights = 0.5 * w
-    elif rule == UNIFORM_TRAPEZOID:
-        if size < 2:
-            raise ValueError("a uniform trapezoid grid needs at least 2 nodes")
-        nodes = np.linspace(0.0, 1.0, size)
-        h = 1.0 / (size - 1)
-        weights = np.full(size, h)
-        weights[0] = weights[-1] = h / 2.0
-    else:
-        raise ValueError(f"unknown grid rule {rule!r}")
-    return Grid(nodes=nodes, weights=weights, rule=rule)
+    """Build a quadrature grid of the given size on [0, 1] (see Grid)."""
+    return Grid(size, rule)
 
 
 def l2_norm(f: GridFunction) -> float:
@@ -244,7 +201,7 @@ def _build_resample_matrix(src: Grid, targets: np.ndarray) -> np.ndarray:
 
 
 def resample(f: GridFunction, target: Grid) -> GridFunction:
-    if f.grid.same_as(target):
+    if f.grid == target:
         return GridFunction(target, f.values.copy())
     R = resample_matrix(f.grid, target.nodes)
     return GridFunction(target, R @ f.values)
@@ -291,8 +248,8 @@ def check_shape(
     f: GridFunction,
     c: ShapeConstraint,
     inspection_grid: Grid | None = None,
-) -> ShapeVerdict:
-    """Check a sign/shape restriction on a uniform inspection grid.
+) -> bool:
+    """Whether f meets a sign/shape restriction on a uniform inspection grid.
 
     The function is resampled onto the inspection grid and the m-th order
     forward differences are formed, where m = 0 for nonnegativity, 1 for
@@ -314,12 +271,4 @@ def check_shape(
         )
     v = resample(f, inspection_grid).values
     d = np.diff(v, n=m) if m > 0 else v
-    worst = int(np.argmin(d))
-    slack = float(d[worst])
-    if slack >= -c.tolerance:
-        return ShapeVerdict(satisfied=True)
-    return ShapeVerdict(
-        satisfied=False,
-        worst_node=float(inspection_grid.nodes[worst]),
-        worst_slack=slack,
-    )
+    return float(d.min()) >= -c.tolerance

@@ -268,7 +268,7 @@ def run_illposedness_demo(cfg: ExperimentConfig) -> ResultTable:
         direction = psi(cspec, x_grid)
         bound = analytic_sup_A_psi_bound(cspec, density_sup)
         on_inspection = resample(phi_n, inspection)
-        flags = [bool(check_shape(on_inspection, c, inspection)) for c in checks]
+        flags = [check_shape(on_inspection, c, inspection) for c in checks]
         rows.append(
             (
                 n,
@@ -335,9 +335,7 @@ def run_estimator_comparison(cfg: ExperimentConfig) -> ResultTable:
 
     def shape_ok(result):
         on_inspection = resample(result.phi_hat, inspection)
-        return all(
-            bool(check_shape(on_inspection, c, inspection)) for c in cset.constraints
-        )
+        return all(check_shape(on_inspection, c, inspection) for c in cset.constraints)
 
     solvers = [("naive", 0.0, lambda rr: naive_estimate(A, rr))]
     for lam in cfg.lambdas:

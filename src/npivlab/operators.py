@@ -19,8 +19,8 @@ DGPs) as shared read-only arrays:
   * for the Tikhonov solver, the Gram matrix M^T M and the eigenvalue floor
     per lambda;
   * for the constrained solve, the constraint rows reduced to the retained
-    singular subspace, one entry per constraint set, keyed by the
-    constraints and the inspection grid's rule and nodes.
+    singular subspace, one entry per constraint set, keyed by the set
+    itself (a value: its inspection grid compares by size and rule).
 
 What depends on the x grid alone is kept on the grid instead, so operators
 that share a grid (montecarlo's replications) share it: the resample matrix
@@ -39,11 +39,17 @@ from .function_space import (
     GridFunction,
     GridMismatchError,
     Memoized,
-    _frozen,
     _read_only,
 )
 
 SVD_TRUNCATION_RTOL = 1e-12
+
+
+def _frozen(a) -> np.ndarray:
+    """a as a read-only float array; a writeable input is copied first, so
+    nothing cached from it can go stale and the caller's array is left alone."""
+    a = np.asarray(a, dtype=float)
+    return _read_only(a.copy() if a.flags.writeable else a)
 
 
 def _truncation_rank(s: np.ndarray) -> int:
@@ -137,7 +143,7 @@ def discretize(dgp, x_grid: Grid, z_grid: Grid) -> DiscreteOperator:
 
 
 def apply(A: DiscreteOperator, phi: GridFunction) -> GridFunction:
-    if not phi.grid.same_as(A.x_grid):
+    if phi.grid != A.x_grid:
         raise GridMismatchError("phi must live on the operator's x grid")
     return GridFunction(A.z_grid, A.kernel_matrix @ phi.values)
 
@@ -145,7 +151,7 @@ def apply(A: DiscreteOperator, phi: GridFunction) -> GridFunction:
 def q_infinity(A: DiscreteOperator, phi: GridFunction, r: GridFunction) -> float:
     """Weighted mean-square moment residual, the population criterion:
     the fz-weighted sum of ((A phi)(z_j) - r(z_j))^2."""
-    if not r.grid.same_as(A.z_grid):
+    if r.grid != A.z_grid:
         raise GridMismatchError("r must live on the operator's z grid")
     m = apply(A, phi).values - r.values
     return float(np.dot(A.fz_weights, m**2))

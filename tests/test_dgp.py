@@ -137,7 +137,7 @@ def test_phi0_on_grid():
     g = make_grid(16)
     f = phi0_on_grid(DgpSpec(), g)
     np.testing.assert_allclose(f.values, g.nodes**2)
-    assert f.grid.same_as(g)
+    assert f.grid is g
 
 
 class TestSampling:

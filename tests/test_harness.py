@@ -808,7 +808,7 @@ class TestRunInvariantWork:
         real = harness_mod.sampled_plugin
 
         def copy(g):
-            return Grid(g.nodes.copy(), g.weights.copy(), g.rule)
+            return Grid(g.size, g.rule)
 
         def fresh_grids(draws, x_grid, z_grid, work=None):
             # equal grids of its own per replication, so nothing is shared
