@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .function_space import Grid, GridFunction
+from .function_space import Grid, GridFunction, _is_integer
 
 MONOTONE = "monotone"
 NONNEG = "nonneg"
@@ -41,7 +41,7 @@ class CounterexampleSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+        if not _is_integer(self.n):
             raise ValueError(f"index n must be an integer, got {self.n!r}")
         if self.n < 0:
             raise ValueError("index n must be nonnegative")

@@ -113,7 +113,7 @@ class Dgp(Memoized):
         return np.exp(expo) / math.sqrt(s2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
     x: np.ndarray
     y: np.ndarray

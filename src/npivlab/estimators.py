@@ -105,7 +105,7 @@ class ConstraintSet:
         return np.vstack(blocks) if blocks else np.zeros((0, basis.shape[1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimateResult:
     phi_hat: GridFunction
     kkt_residual: float
@@ -123,17 +123,16 @@ def _weighted_system(A: DiscreteOperator, r: GridFunction):
     return M, sw, rt
 
 
-def _derivative_form(grid: Grid) -> np.ndarray:
-    # derivative operator expressed in the weighted coordinates
-    sw = np.sqrt(grid.weights)
-    D = differentiation_matrix(grid)
-    return (sw[:, None] * D) / sw[None, :]
+def _penalty_gram(grid: Grid) -> np.ndarray:
+    """F^T F for the derivative F in the weighted coordinates, built once per
+    grid, read-only; neither F nor D is kept."""
 
+    def build():
+        sw = np.sqrt(grid.weights)
+        F = (sw[:, None] * differentiation_matrix(grid)) / sw[None, :]
+        return _read_only(F.T @ F)
 
-def _penalty_form(grid: Grid) -> np.ndarray:
-    """F = _derivative_form(grid), built once per grid, read-only; D itself
-    is not kept."""
-    return grid.memo("penalty_form", lambda: _read_only(_derivative_form(grid)))
+    return grid.memo("penalty_gram", build)
 
 
 def tir_estimate(A: DiscreteOperator, r: GridFunction, lam: float) -> EstimateResult:
@@ -146,10 +145,9 @@ def tir_estimate(A: DiscreteOperator, r: GridFunction, lam: float) -> EstimateRe
     if not 0 < lam < math.inf:
         raise ValueError(f"tir_estimate requires 0 < lam < inf, got {lam!r}")
     M, sw, rt = _weighted_system(A, r)
-    F = _penalty_form(A.x_grid)
     # M^T M depends on the operator, F^T F on the x grid alone
     MtM = A.memo("gram", lambda: _read_only(M.T @ M))
-    FtF = A.x_grid.memo("penalty_gram", lambda: _read_only(F.T @ F))
+    FtF = _penalty_gram(A.x_grid)
     # H = (M^T M + lam I) + lam F^T F in one buffer, each entry rounded as in
     # that order: off the diagonal the identity adds nothing.
     H = np.multiply(FtF, lam)
@@ -195,8 +193,8 @@ def naive_estimate(A: DiscreteOperator, r: GridFunction) -> EstimateResult:
 
 
 def _restricted_multipliers(Acon: np.ndarray, grad: np.ndarray, slack: np.ndarray):
-    """Nonnegative multipliers supported on the near-active rows."""
-    scale = max(1.0, float(np.abs(slack).max()) if slack.size else 1.0)
+    """Nonnegative multipliers supported on the near-active rows (nc > 0)."""
+    scale = max(1.0, float(np.abs(slack).max()))
     active = slack <= 1e-7 * scale
     mu = np.zeros(Acon.shape[0])
     if active.any():
@@ -237,20 +235,19 @@ def _solve_inequality_qp(S: np.ndarray, d: np.ndarray, Acon: np.ndarray, maxit: 
     grad_scale = max(1.0, float(np.abs(2.0 * S * d).max()))
     best = (np.inf, y.copy(), np.zeros(nc))
     for it in range(1, maxit + 1):
-        if len(work) >= nv:
-            Z = np.zeros((nv, 0))
-        elif work:
-            Q, _ = np.linalg.qr(Acon[work].T, mode="complete")
-            Z = Q[:, len(work):]
-        else:
-            Z = np.eye(nv)
-        if Z.shape[1]:
+        # a full working set leaves no free direction: the step is zero
+        stalled = len(work) >= nv
+        if not stalled:
+            if work:
+                Q, _ = np.linalg.qr(Acon[work].T, mode="complete")
+                Z = Q[:, len(work):]
+            else:
+                Z = np.eye(nv)
             t, *_ = np.linalg.lstsq(S[:, None] * Z, d, rcond=SVD_TRUNCATION_RTOL)
             y_cand = Z @ t
-        else:
-            y_cand = y
-        p = y_cand - y
-        if np.linalg.norm(p) <= 1e-11 * (1.0 + np.linalg.norm(y)):
+            p = y_cand - y
+            stalled = np.linalg.norm(p) <= 1e-11 * (1.0 + np.linalg.norm(y))
+        if stalled:
             grad = 2.0 * S * (S * y - d)
             slack = Acon @ y
             mu = _restricted_multipliers(Acon, grad, slack)
@@ -296,10 +293,6 @@ def _solve_inequality_qp(S: np.ndarray, d: np.ndarray, Acon: np.ndarray, maxit: 
             step_max = np.inf
         if step_max < 1.0:
             y = y + step_max * p
-            if len(work) >= nv:
-                grad = 2.0 * S * (S * y - d)
-                mu_w, *_ = np.linalg.lstsq(Acon[work].T, grad, rcond=None)
-                in_work[work.pop(int(np.argmin(mu_w)))] = False
             entering = int(np.argmin(ratios))
             work.append(entering)
             in_work[entering] = True
@@ -316,13 +309,11 @@ def _solve_inequality_qp(S: np.ndarray, d: np.ndarray, Acon: np.ndarray, maxit: 
 
 def _qp_certificate(S, d, Acon, y, mu):
     grad = 2.0 * S * (S * y - d)
-    slack = Acon @ y if Acon.shape[0] else np.zeros(0)
-    stat = float(np.abs(grad - Acon.T @ mu).max()) if Acon.shape[0] else float(
-        np.abs(grad).max()
-    )
-    feas = float(max(0.0, -slack.min())) if slack.size else 0.0
-    comp = float(np.abs(mu * slack).max()) if slack.size else 0.0
-    dual = float(max(0.0, -mu.min())) if mu.size else 0.0
+    slack = Acon @ y
+    stat = float(np.abs(grad - Acon.T @ mu).max())
+    feas = max(0.0, -float(slack.min(initial=0.0)))
+    comp = float(np.abs(mu * slack).max(initial=0.0))
+    dual = max(0.0, -float(mu.min(initial=0.0)))
     return max(stat, feas, comp, dual)
 
 
@@ -389,7 +380,7 @@ def _check_work(work, shapes) -> None:
         raise ValueError("work buffers must not overlap")
 
 
-def sampled_plugin(sample, x_grid: Grid, z_grid: Grid, h_x=None, h_z=None, work=None):
+def sampled_plugin(sample, x_grid: Grid, z_grid: Grid, work=None):
     """Kernel plug-in operator and reduced form from a finite sample.
 
     The joint density of (X, Z) is estimated by a product-Gaussian kernel
@@ -397,10 +388,10 @@ def sampled_plugin(sample, x_grid: Grid, z_grid: Grid, h_x=None, h_z=None, work=
     by marginal integration over the x-quadrature, and the reduced form by
     Nadaraya-Watson regression of Y on Z at the z nodes. Kernel rows are
     renormalized to integrate to one. Nodes where the estimated instrument
-    density falls below 1e-6 are flagged and excluded from the fz weights;
-    if more than half the nodes are flagged the sample is declared
-    degenerate. Bandwidths h_x, h_z default to the 1.06 * sigma * m^(-1/5)
-    rule of thumb.
+    density falls below 1e-6 are flagged and get fz weight 0, so the flagged
+    nodes are exactly those with ``fz_weights == 0``; if more than half the
+    nodes are flagged the sample is declared degenerate. Both bandwidths
+    follow the 1.06 * sigma * m^(-1/5) rule of thumb.
 
     When work is given, a pair of distinct C-contiguous float64 arrays of
     shapes (x_grid.size, m) and (z_grid.size, m), the two Gaussian kernel
@@ -414,11 +405,8 @@ def sampled_plugin(sample, x_grid: Grid, z_grid: Grid, h_x=None, h_z=None, work=
         work = (None, None)
     else:
         _check_work(work, ((x_grid.size, m), (z_grid.size, m)))
-    for h in (h_x, h_z):
-        if h is not None and not 0 < h < math.inf:
-            raise ValueError(f"bandwidths must be positive and finite, got {h!r}")
-    hx = h_x if h_x is not None else 1.06 * float(np.std(sample.x)) * m**-0.2
-    hz = h_z if h_z is not None else 1.06 * float(np.std(sample.z)) * m**-0.2
+    hx = 1.06 * float(np.std(sample.x)) * m**-0.2
+    hz = 1.06 * float(np.std(sample.z)) * m**-0.2
     if not (hx > 1e-12 and hz > 1e-12):
         raise DegenerateSampleError("sample has (near) zero spread in x or z")
     gauss_x = _gaussian_block(x_grid.nodes, sample.x, hx, out=work[0])
@@ -444,13 +432,7 @@ def sampled_plugin(sample, x_grid: Grid, z_grid: Grid, h_x=None, h_z=None, work=
         r_hat = np.where(kernel_mass > 0.0, (gauss_z @ sample.y) / kernel_mass, 0.0)
     fzw = z_grid.weights * fz_hat
     fzw[flagged] = 0.0
-    op = DiscreteOperator(
-        x_grid=x_grid,
-        z_grid=z_grid,
-        kernel_matrix=K,
-        fz_weights=fzw,
-        flagged_z=flagged,
-    )
+    op = DiscreteOperator(x_grid=x_grid, z_grid=z_grid, kernel_matrix=K, fz_weights=fzw)
     return op, GridFunction(z_grid, r_hat)
 
 

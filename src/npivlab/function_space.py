@@ -51,6 +51,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an int or a numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Grid(Memoized):
     """Quadrature rule on [0, 1], fixed by its size and rule.
@@ -70,6 +75,8 @@ class Grid(Memoized):
 
     def __post_init__(self):
         size = self.size
+        if not _is_integer(size):
+            raise ValueError(f"grid size must be an integer, got {size!r}")
         if self.rule == GAUSS_LEGENDRE:
             if size < 1:
                 raise ValueError("grid size must be at least 1")
@@ -89,9 +96,9 @@ class Grid(Memoized):
         object.__setattr__(self, "weights", _read_only(weights))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
-    """A real function sampled at the nodes of a Grid."""
+    """A real function sampled at the nodes of a Grid; compares by identity."""
 
     grid: Grid
     values: np.ndarray
@@ -121,7 +128,7 @@ class ShapeConstraint:
         kinds = ("nonnegative", "monotone_nondecreasing", "convex", "derivative_sign")
         if self.kind not in kinds:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if isinstance(self.order, bool) or not isinstance(self.order, (int, np.integer)):
+        if not _is_integer(self.order):
             raise ValueError(f"order must be an integer, got {self.order!r}")
         if self.kind == "derivative_sign" and self.order < 1:
             raise ValueError("derivative_sign requires order >= 1")
@@ -240,8 +247,8 @@ def sobolev_norm(f: GridFunction) -> float:
     return float(np.sqrt(np.dot(w, f.values**2) + np.dot(w, df**2)))
 
 
-def default_inspection_grid(size: int = DEFAULT_INSPECTION_SIZE) -> Grid:
-    return make_grid(size, UNIFORM_TRAPEZOID)
+def default_inspection_grid() -> Grid:
+    return make_grid(DEFAULT_INSPECTION_SIZE, UNIFORM_TRAPEZOID)
 
 
 def check_shape(

@@ -25,7 +25,8 @@ DGPs) as shared read-only arrays:
 What depends on the x grid alone is kept on the grid instead, so operators
 that share a grid (montecarlo's replications) share it: the resample matrix
 per target nodes, the differentiation matrix of ``sobolev_norm``, and the
-Tikhonov penalty form F in weighted coordinates with F^T F.
+Tikhonov penalty Gram F^T F, where F is the derivative in weighted
+coordinates (F itself is not kept).
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _truncation_rank(s: np.ndarray) -> int:
     return int(np.sum(s > SVD_TRUNCATION_RTOL * s[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedSvd:
     """Thin SVD of the weighted matrix, truncated at SVD_TRUNCATION_RTOL.
 
@@ -73,22 +74,22 @@ class TruncatedSvd:
     rank: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteOperator(Memoized):
     """Kernel matrix with quadrature weights folded in.
 
     kernel_matrix[j, i] = f_{X|Z}(x_i | z_j) * w_i, one row per z node.
     fz_weights[j] = z-quadrature weight times f_Z(z_j); rows excluded by a
-    sampled-mode degeneracy flag carry fz_weight 0. Not all may, since one
-    positive weight on a kernel row (which sums to 1) gives rank J >= 1.
-    Both are stored read-only.
+    sampled-mode degeneracy flag carry fz_weight 0, and only they do. Not
+    all may, since one positive weight on a kernel row (which sums to 1)
+    gives rank J >= 1. Both are stored read-only. Operators compare by
+    identity.
     """
 
     x_grid: Grid
     z_grid: Grid
     kernel_matrix: np.ndarray
     fz_weights: np.ndarray
-    flagged_z: np.ndarray | None = None
 
     def __post_init__(self):
         K = _frozen(self.kernel_matrix)
@@ -124,11 +125,9 @@ class DiscreteOperator(Memoized):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdReport:
     singular_values: np.ndarray
-    numerical_rank: int
-    decay_fit: float
 
 
 def discretize(dgp, x_grid: Grid, z_grid: Grid) -> DiscreteOperator:
@@ -176,20 +175,6 @@ def weighted_matrix(A: DiscreteOperator) -> np.ndarray:
 
 
 def svd_report(A: DiscreteOperator) -> SvdReport:
-    """Singular values of the weighted operator plus decay diagnostics.
-
-    The values and numerical_rank come from the operator's one cached SVD,
-    so they are the spectrum and the rank every solver truncates at.
-    decay_fit is the least-squares slope of log sigma_k against k over the
-    values above 1e-14 * sigma_1 (the part of the spectrum not drowned in
-    rounding).
-    """
-    f = A.svd
-    s = f.s
-    positive = s > 1e-14 * s[0]
-    if positive.sum() >= 2:
-        k = np.arange(1, s.size + 1)[positive]
-        slope = float(np.polyfit(k, np.log(s[positive]), 1)[0])
-    else:
-        slope = float("nan")
-    return SvdReport(singular_values=s, numerical_rank=f.rank, decay_fit=slope)
+    """Singular values of the weighted operator, from its one cached SVD, so
+    they are the spectrum every solver truncates (at ``A.svd.rank``)."""
+    return SvdReport(singular_values=A.svd.s)

@@ -404,3 +404,16 @@ def test_grid_validation_rejects_bad_inputs():
         Grid(0, GAUSS_LEGENDRE)
     with pytest.raises(ValueError):
         Grid(1, UNIFORM_TRAPEZOID)
+
+
+@pytest.mark.parametrize("size", [True, 3.0, 2.5, "4"])
+@pytest.mark.parametrize("rule", [GAUSS_LEGENDRE, UNIFORM_TRAPEZOID])
+def test_grid_size_must_be_an_integer(size, rule):
+    with pytest.raises(ValueError, match="grid size must be an integer"):
+        Grid(size, rule)
+
+
+def test_a_numpy_integer_size_makes_the_same_grid():
+    g = Grid(np.int64(5), UNIFORM_TRAPEZOID)
+    assert g == make_grid(5, UNIFORM_TRAPEZOID)
+    np.testing.assert_array_equal(g.nodes, np.linspace(0.0, 1.0, 5))

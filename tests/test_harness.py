@@ -256,8 +256,8 @@ class TestEstimatorComparison:
         cfg, table = comparison
         grid = make_grid(cfg.quadrature_size)
         zgrid = make_grid(cfg.z_size)
-        report = svd_report(discretize(make_dgp(cfg.dgp), grid, zgrid))
-        smallest = report.singular_values[report.numerical_rank - 1]
+        A = discretize(make_dgp(cfg.dgp), grid, zgrid)
+        smallest = svd_report(A).singular_values[A.svd.rank - 1]
         for row in table.rows:
             if row[2] == "naive":
                 assert math.isclose(row[7], smallest, rel_tol=1e-9)

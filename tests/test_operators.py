@@ -210,11 +210,10 @@ def test_criterion_nonnegative(problem):
 class TestSvd:
     def test_rank_one_in_flat_case(self, independent):
         _, _, A = independent
-        report = svd_report(A)
-        s = report.singular_values
+        s = svd_report(A).singular_values
         assert abs(s[0] - 1.0) < 1e-10
         assert s[1] < 1e-10
-        assert report.numerical_rank == 1
+        assert A.svd.rank == 1
 
     def test_nonincreasing_and_positive_top(self, problem):
         A = problem[3]
@@ -239,13 +238,26 @@ class TestSvd:
 
     def test_report_reads_the_operator_factorization(self, problem):
         A = problem[3]
-        report = svd_report(A)
-        assert report.singular_values is A.svd.s
-        assert report.numerical_rank == A.svd.rank
+        assert svd_report(A).singular_values is A.svd.s
 
-    def test_decay_fit_is_negative(self, problem):
-        report = svd_report(problem[3])
-        assert report.decay_fit < -0.5
+    # Measured max over k < 10 of |sigma_k - |rho|^k| at rho = +-0.5 (the two
+    # signs agree to 1e-15): 1.09e-2, 6.16e-3, 3.72e-3 at N = 64, 128, 256; and
+    # |sigma_0 - 1| = 1.32e-9 at N = 128. Each bound is 1.25x the measurement.
+    MEHLER_BOUNDS = {64: 1.4e-2, 128: 7.7e-3, 256: 4.7e-3}
+
+    @pytest.mark.parametrize("rho", [0.5, -0.5])
+    def test_spectrum_approaches_the_mehler_oracle(self, rho):
+        # the Gaussian-copula operator has singular values |rho|^k exactly
+        want = abs(rho) ** np.arange(10)
+        errors = {}
+        for N, bound in self.MEHLER_BOUNDS.items():
+            g = make_grid(N)
+            s = svd_report(discretize(make_dgp(DgpSpec(rho=rho)), g, g)).singular_values
+            errors[N] = float(np.abs(s[:10] - want).max())
+            assert errors[N] < bound, (N, errors[N])
+            if N == 128:
+                assert abs(s[0] - 1.0) < 1.7e-9
+        assert errors[64] > errors[128] > errors[256]
 
     def test_weighted_matrix_norms_match(self, problem):
         x, z, _, A, _, _ = problem
@@ -391,14 +403,14 @@ class TestFactorizationCache:
         naive_estimate(A, r)
         tir_estimate(A, r, 1e-4)
         constrained_estimate(A, r, cset)
-        # the penalty form and its Gram depend on the x grid alone, so they
-        # are kept there, beside the constraint rows' resample matrix
+        # the penalty Gram depends on the x grid alone, so it is kept there,
+        # beside the constraint rows' resample matrix
         keys = {k if isinstance(k, str) else k[0] for k in A._cache}
         assert keys == {
             "weighted", "svd", "gram", "tir_eigenvalue_floor", "constraint_rows"
         }
         grid_keys = {k if isinstance(k, str) else k[0] for k in A.x_grid._cache}
-        assert grid_keys == {"penalty_form", "penalty_gram", "resample"}
+        assert grid_keys == {"penalty_gram", "resample"}
 
         def arrays(value):
             if isinstance(value, np.ndarray):
@@ -411,7 +423,7 @@ class TestFactorizationCache:
 
         values = [*A._cache.values(), *A.x_grid._cache.values()]
         cached = [a for value in values for a in arrays(value)]
-        assert len(cached) == 9
+        assert len(cached) == 8
         for a in cached:
             assert not a.flags.writeable
             with pytest.raises(ValueError):

@@ -42,7 +42,8 @@ def test_every_imported_name_is_used(path):
 # Public names that no package module reads, kept because a checked claim
 # rests on them: criterion 7 compares measured Sobolev norms with
 # analytic_sobolev_norm, criterion 6 reads stability_probe's Tikhonov
-# amplification, and criterion 9 parses emitted tables back with load_csv.
+# amplification, and test_cli.py and test_harness.py parse emitted tables back
+# with load_csv (criterion 9 compares raw bytes).
 UNREAD_BUT_CHECKED = {"analytic_sobolev_norm", "stability_probe", "load_csv"}
 
 
@@ -93,7 +94,7 @@ def test_the_census_does_not_count_an_assignment_as_a_use():
 
 
 # One factorization per operator: the operator's own SVD is the only SVD call
-# site; the derivative form is built once per grid, through the grid's memo.
+# site; a differentiation matrix is built once per grid, through the grid's memo.
 SVD_SITES = [("operators.py", "DiscreteOperator._build_svd", None)]
 
 
@@ -144,26 +145,64 @@ def test_svd_is_called_only_at_the_operator_factorization():
     assert sorted(sites, key=str) == SVD_SITES
 
 
-def _derivative_form_uses_outside_memo(path: Path) -> list:
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+def _is_memo_call(node) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "memo"
+    )
+
+
+def _calls_outside_memo(tree: ast.Module, name: str) -> list:
+    """Lines calling ``name`` neither inside a memo call nor inside a function
+    that some memo call of the module takes as its build."""
     parents = _parents(tree)
-    stray = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id == "_derivative_form":
-            in_memo = any(
-                isinstance(a, ast.Call)
-                and isinstance(a.func, ast.Attribute)
-                and a.func.attr == "memo"
-                for a in _ancestors(node, parents)
-            )
-            if not in_memo:
-                stray.append((path.name, node.lineno))
-    return stray
+    build_functions = {
+        arg.id
+        for node in ast.walk(tree)
+        if _is_memo_call(node)
+        for arg in node.args
+        if isinstance(arg, ast.Name)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == name
+        and not any(
+            _is_memo_call(a)
+            or (isinstance(a, ast.FunctionDef) and a.name in build_functions)
+            for a in _ancestors(node, parents)
+        )
+    ]
 
 
-def test_derivative_form_is_reached_only_through_a_memo():
-    assert any("def _derivative_form" in p.read_text(encoding="utf-8") for p in MODULES)
-    assert [s for p in MODULES for s in _derivative_form_uses_outside_memo(p)] == []
+def test_differentiation_matrices_are_built_only_through_a_memo():
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in MODULES
+    }
+    calls = [
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "differentiation_matrix"
+    ]
+    # sobolev_norm's matrix and the Tikhonov penalty's Gram
+    assert sorted(calls) == ["estimators.py", "function_space.py"]
+    for name, tree in trees.items():
+        assert _calls_outside_memo(tree, "differentiation_matrix") == [], name
+
+
+def test_the_memo_census_sees_a_call_outside_every_build():
+    tree = ast.parse(
+        "def f(g):\n    return g.memo('k', lambda: d(g))\n"
+        "def h(g):\n    def build():\n        return d(g)\n    return g.memo('k', build)\n"
+        "def stray(g):\n    def helper():\n        return d(g)\n    return helper()\n"
+        "def cached(g):\n    return g.memo('k', d(g))\n"
+    )
+    assert _calls_outside_memo(tree, "d") == [9]
 
 
 # Derived values are kept on the immutable object they come from, through one
@@ -208,25 +247,22 @@ def test_the_cache_census_sees_both_spellings():
 
 
 # Dataclass fields that no package module reads as an attribute, kept because
-# tests pin them and a reader is planned or checked: EstimateResult.iterations
-# and DiscreteOperator.flagged_z are the solver and sampling diagnostics the
-# trace sidecar is to report; SvdReport.numerical_rank and SvdReport.decay_fit
-# belong to svd_report, which criterion 5 reads.
-UNREAD_BUT_PINNED_FIELDS = {
-    "EstimateResult.iterations",
-    "DiscreteOperator.flagged_z",
-    "SvdReport.numerical_rank",
-    "SvdReport.decay_fit",
-}
+# tests pin them and a reader is planned: EstimateResult.iterations is the
+# solver diagnostic the trace sidecar is to report.
+UNREAD_BUT_PINNED_FIELDS = {"EstimateResult.iterations"}
+
+
+def _dataclass_decorator(node: ast.ClassDef):
+    for d in node.decorator_list:
+        if ast.unparse(d.func if isinstance(d, ast.Call) else d).endswith("dataclass"):
+            return d
+    return None
 
 
 def _dataclass_fields(tree: ast.Module) -> list:
     fields = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and any(
-            ast.unparse(d.func if isinstance(d, ast.Call) else d).endswith("dataclass")
-            for d in node.decorator_list
-        ):
+        if isinstance(node, ast.ClassDef) and _dataclass_decorator(node) is not None:
             fields += [
                 (node.name, stmt.target.id)
                 for stmt in node.body
@@ -268,3 +304,119 @@ def test_the_field_census_does_not_count_a_keyword_or_a_store_as_a_read():
     fields = [("Result", "value"), ("Result", "note"), ("Box", "size")]
     assert _dataclass_fields(tree) == fields
     assert _attribute_reads(tree) == {"value"}
+
+
+def _keyword_is_false(call, name: str) -> bool:
+    return isinstance(call, ast.Call) and any(
+        k.arg == name and isinstance(k.value, ast.Constant) and k.value.value is False
+        for k in call.keywords
+    )
+
+
+def _value_compared_array_fields(trees: list) -> list:
+    """Fields holding arrays that a generated __eq__ would compare.
+
+    A field holds arrays when its annotation names np.ndarray or a dataclass
+    that compares by identity (eq=False), whose own arrays a value comparison
+    would reach through it. Such a field must be compare=False or sit in an
+    eq=False class, since == and hash() on arrays raise.
+    """
+    classes = [
+        (node, d)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and (d := _dataclass_decorator(node)) is not None
+    ]
+    by_identity = {node.name for node, d in classes if _keyword_is_false(d, "eq")}
+    arrays = {"np.ndarray"} | by_identity
+    found = []
+    for node, _ in classes:
+        if node.name in by_identity:
+            continue
+        for stmt in node.body:
+            if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                continue
+            named = {
+                ast.unparse(n)
+                for n in ast.walk(stmt.annotation)
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            if named & arrays and not _keyword_is_false(stmt.value, "compare"):
+                found.append(f"{node.name}.{stmt.target.id}")
+    return found
+
+
+def test_array_fields_are_never_compared_by_value():
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in MODULES
+    ]
+    assert _value_compared_array_fields(trees) == []
+
+
+def test_the_array_census_sees_value_comparison():
+    tree = ast.parse(
+        "@dataclass(frozen=True)\nclass Grid:\n    size: int\n"
+        "    nodes: np.ndarray = field(init=False, compare=False)\n"
+        "@dataclass(frozen=True, eq=False)\nclass Values:\n    v: np.ndarray\n"
+        "@dataclass(frozen=True)\nclass Result:\n    fit: Values\n"
+        "    raw: np.ndarray | None = None\n    grid: Grid = field(compare=True)\n"
+    )
+    assert _value_compared_array_fields([tree]) == ["Result.fit", "Result.raw"]
+
+
+# Defaulted parameters of public package functions that no package call
+# passes, kept because callers outside the package pass them: the tests and
+# the benchmark's child run main(argv), and
+# test_iteration_cap_reports_nonconvergence sets constrained_estimate's maxit.
+DEFAULTED_BUT_PASSED_OUTSIDE = {"main.argv", "constrained_estimate.maxit"}
+
+
+def _unpassed_defaults(trees: list) -> set:
+    """function.parameter for each defaulted parameter of a public
+    module-level function that no call in ``trees`` passes, by position or
+    by keyword (a *args or **kwargs argument counts as passing all)."""
+    defaults = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                for i in range(len(positional) - len(a.defaults), len(positional)):
+                    defaults[node.name, positional[i].arg] = i
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        defaults[node.name, arg.arg] = None
+    passed = set()
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+            keywords = {k.arg for k in call.keywords}
+            for (fname, param), index in defaults.items():
+                if fname != name:
+                    continue
+                by_position = index is not None and (starred or index < len(call.args))
+                if by_position or param in keywords or None in keywords:
+                    passed.add((fname, param))
+    return {f"{f}.{p}" for f, p in defaults.keys() - passed}
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in MODULES
+    ]
+    assert _unpassed_defaults(trees) == DEFAULTED_BUT_PASSED_OUTSIDE
+
+
+def test_the_default_census_sees_position_keyword_and_unpacking():
+    tree = ast.parse(
+        "def f(a, b=1, c=2, *, d=3): pass\n"
+        "def g(x=0, y=0): pass\n"
+        "def h(k=0): pass\n"
+        "def _private(z=0): pass\n"
+        "f(0, 1)\nf(0, d=4)\ng(*args)\nobj.h(**options)\n"
+    )
+    assert _unpassed_defaults([tree]) == {"f.c"}
