@@ -104,8 +104,6 @@ class Dgp(Memoized):
         x = np.clip(np.asarray(x, dtype=float), _CLIP, 1.0 - _CLIP)
         z = np.clip(np.asarray(z, dtype=float), _CLIP, 1.0 - _CLIP)
         rho = self.spec.rho
-        if rho == 0.0:
-            return np.ones(np.broadcast(x, z).shape)
         a = ndtri(x)
         b = ndtri(z)
         s2 = 1.0 - rho * rho

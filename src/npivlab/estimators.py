@@ -23,23 +23,21 @@ norms agree with the L2 norms of the function space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
 
 from .counterexamples import MONOTONE, CounterexampleSpec, psi
 from .function_space import (
-    UNIFORM_TRAPEZOID,
+    ConstraintSet,
     Grid,
     GridFunction,
     GridMismatchError,
     ShapeConstraint,
     _read_only,
-    default_inspection_grid,
     differentiation_matrix,
     l2_norm,
-    resample_matrix,
 )
 from .operators import SVD_TRUNCATION_RTOL, DiscreteOperator, apply, weighted_matrix
 
@@ -56,53 +54,6 @@ class NumericalError(RuntimeError):
 class DegenerateSampleError(NumericalError):
     """The sample cannot support a kernel plug-in (zero spread or the
     estimated instrument density vanishes on most of the grid)."""
-
-
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Shape constraints enforced as linear inequalities on grid values.
-
-    Each constraint contributes the rows of an m-th order difference matrix
-    applied to the estimate's values on the inspection grid, which must be
-    uniform (so the differences mean the shapes they name) and hold at least
-    m + 2 nodes.
-    """
-
-    constraints: tuple
-    inspection_grid: Grid = field(default_factory=default_inspection_grid)
-
-    def __post_init__(self):
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        if self.inspection_grid.rule != UNIFORM_TRAPEZOID:
-            raise ValueError("ConstraintSet requires a uniform inspection grid")
-        for c in self.constraints:
-            if not isinstance(c, ShapeConstraint):
-                raise ValueError("constraints must be ShapeConstraint instances")
-            if self.inspection_grid.size < c.difference_order + 2:
-                raise ValueError(
-                    f"inspection grid of size {self.inspection_grid.size} is "
-                    f"too small for constraint {c.name!r}"
-                )
-
-    def rows(self, x_grid: Grid, basis: np.ndarray) -> np.ndarray:
-        """Stacked inequality rows acting on coefficients in ``basis``.
-
-        basis holds, as columns, directions in the weighted coordinates
-        u = sqrt(w_x) phi on x_grid. Each constraint's block is built and
-        reduced on its own, so no full inspection-by-x_grid stack is formed.
-        """
-        R = resample_matrix(x_grid, self.inspection_grid.nodes)
-        sw = np.sqrt(x_grid.weights)
-
-        def block(m):
-            # divided in place (R itself is shared and read-only); D dies on
-            # return, so no two full-size blocks are alive at once
-            D = np.diff(R, n=m, axis=0) if m > 0 else R.copy()
-            D /= sw
-            return D @ basis
-
-        blocks = [block(c.difference_order) for c in self.constraints]
-        return np.vstack(blocks) if blocks else np.zeros((0, basis.shape[1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,8 +366,6 @@ def sampled_plugin(sample, x_grid: Grid, z_grid: Grid, work=None):
     fxz_hat = norm * (gauss_z @ gauss_x.T)
     fz_hat = fxz_hat @ x_grid.weights
     flagged = fz_hat < 1e-6
-    kernel_mass = gauss_z.sum(axis=1)
-    flagged = flagged | (kernel_mass <= 0.0)
     if int(flagged.sum()) > z_grid.size // 2:
         raise DegenerateSampleError(
             f"estimated instrument density below threshold at "
@@ -428,6 +377,7 @@ def sampled_plugin(sample, x_grid: Grid, z_grid: Grid, work=None):
     K[dead] = x_grid.weights[None, :]
     row_sums[dead] = 1.0
     K = K / row_sums[:, None]
+    kernel_mass = gauss_z.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         r_hat = np.where(kernel_mass > 0.0, (gauss_z @ sample.y) / kernel_mass, 0.0)
     fzw = z_grid.weights * fz_hat

@@ -4,7 +4,9 @@ Everything downstream works with functions represented by their values on a
 quadrature grid. Two grid rules are supported: Gauss-Legendre, the only rule
 functions are resampled from or differentiated on, and uniform with trapezoid
 weights, a target only: shape inspection (equally spaced nodes keep the
-difference checks well scaled) and sampled-mode z quadrature.
+difference checks well scaled) and sampled-mode z quadrature. The shape
+constraints live here too: ConstraintSet gives the rows the constrained solve
+enforces, and check_shape verifies the same differences.
 """
 
 from __future__ import annotations
@@ -111,49 +113,6 @@ class GridFunction:
             raise ValueError("values must be finite")
 
 
-@dataclass(frozen=True)
-class ShapeConstraint:
-    """A sign restriction on a function or one of its difference orders.
-
-    kind is one of "nonnegative", "monotone_nondecreasing", "convex", or
-    "derivative_sign" (with ``order`` m >= 1 selecting the m-th differences).
-    tolerance is the absolute slack allowed in the discrete check.
-    """
-
-    kind: str
-    order: int = 0
-    tolerance: float = DEFAULT_SHAPE_TOL
-
-    def __post_init__(self):
-        kinds = ("nonnegative", "monotone_nondecreasing", "convex", "derivative_sign")
-        if self.kind not in kinds:
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if not _is_integer(self.order):
-            raise ValueError(f"order must be an integer, got {self.order!r}")
-        if self.kind == "derivative_sign" and self.order < 1:
-            raise ValueError("derivative_sign requires order >= 1")
-        if not 0 <= self.tolerance < math.inf:
-            raise ValueError(
-                f"tolerance must be nonnegative and finite, got {self.tolerance!r}"
-            )
-
-    @property
-    def difference_order(self) -> int:
-        return {
-            "nonnegative": 0,
-            "monotone_nondecreasing": 1,
-            "convex": 2,
-            "derivative_sign": self.order,
-        }[self.kind]
-
-    @property
-    def name(self) -> str:
-        """Config spelling and verdict key, e.g. "convex" or "derivative_sign_3"."""
-        if self.kind == "derivative_sign":
-            return f"derivative_sign_{self.order}"
-        return self.kind
-
-
 def make_grid(size: int, rule: str = GAUSS_LEGENDRE) -> Grid:
     """Build a quadrature grid of the given size on [0, 1] (see Grid)."""
     return Grid(size, rule)
@@ -251,31 +210,112 @@ def default_inspection_grid() -> Grid:
     return make_grid(DEFAULT_INSPECTION_SIZE, UNIFORM_TRAPEZOID)
 
 
-def check_shape(
-    f: GridFunction,
-    c: ShapeConstraint,
-    inspection_grid: Grid | None = None,
-) -> bool:
-    """Whether f meets a sign/shape restriction on a uniform inspection grid.
+@dataclass(frozen=True)
+class ShapeConstraint:
+    """A sign restriction on a function or one of its difference orders.
 
-    The function is resampled onto the inspection grid and the m-th order
-    forward differences are formed, where m = 0 for nonnegativity, 1 for
-    monotonicity, 2 for convexity, and the requested order for
-    derivative_sign. The constraint is satisfied when every difference is
-    >= -tolerance. Note the differences carry the step factor h^m relative
-    to derivative values, which keeps the check's rounding noise far below
-    the default tolerance.
+    kind is one of "nonnegative", "monotone_nondecreasing", "convex", or
+    "derivative_sign" (with ``order`` m >= 1 selecting the m-th differences).
+    tolerance is the absolute slack allowed in the discrete check.
     """
-    if inspection_grid is None:
-        inspection_grid = default_inspection_grid()
-    if inspection_grid.rule != UNIFORM_TRAPEZOID:
-        raise ValueError("check_shape requires a uniform inspection grid")
-    m = c.difference_order
-    if inspection_grid.size < m + 2:
-        raise ValueError(
-            f"inspection grid of size {inspection_grid.size} is too small "
-            f"for difference order {m}"
-        )
-    v = resample(f, inspection_grid).values
-    d = np.diff(v, n=m) if m > 0 else v
-    return float(d.min()) >= -c.tolerance
+
+    kind: str
+    order: int = 0
+    tolerance: float = DEFAULT_SHAPE_TOL
+
+    def __post_init__(self):
+        kinds = ("nonnegative", "monotone_nondecreasing", "convex", "derivative_sign")
+        if self.kind not in kinds:
+            raise ValueError(f"unknown constraint kind {self.kind!r}")
+        if not _is_integer(self.order):
+            raise ValueError(f"order must be an integer, got {self.order!r}")
+        if self.kind == "derivative_sign" and self.order < 1:
+            raise ValueError("derivative_sign requires order >= 1")
+        if not 0 <= self.tolerance < math.inf:
+            raise ValueError(
+                f"tolerance must be nonnegative and finite, got {self.tolerance!r}"
+            )
+
+    @property
+    def difference_order(self) -> int:
+        return {
+            "nonnegative": 0,
+            "monotone_nondecreasing": 1,
+            "convex": 2,
+            "derivative_sign": self.order,
+        }[self.kind]
+
+    @property
+    def name(self) -> str:
+        """Config spelling and verdict key, e.g. "convex" or "derivative_sign_3"."""
+        if self.kind == "derivative_sign":
+            return f"derivative_sign_{self.order}"
+        return self.kind
+
+
+@dataclass(frozen=True)
+class ConstraintSet:
+    """Shape constraints on a uniform inspection grid.
+
+    The constrained solve enforces the set through ``rows`` and check_shape
+    verifies it: both take each constraint's m-th order differences of values
+    on the inspection grid, which must be uniform (so the differences mean the
+    shapes they name) and hold at least m + 2 nodes. This is the only place in
+    the library that checks that rule.
+    """
+
+    constraints: tuple
+    inspection_grid: Grid = field(default_factory=default_inspection_grid)
+
+    def __post_init__(self):
+        object.__setattr__(self, "constraints", tuple(self.constraints))
+        if self.inspection_grid.rule != UNIFORM_TRAPEZOID:
+            raise ValueError("ConstraintSet requires a uniform inspection grid")
+        for c in self.constraints:
+            if not isinstance(c, ShapeConstraint):
+                raise ValueError("constraints must be ShapeConstraint instances")
+            if self.inspection_grid.size < c.difference_order + 2:
+                raise ValueError(
+                    f"inspection grid of size {self.inspection_grid.size} is "
+                    f"too small for constraint {c.name!r}"
+                )
+
+    def rows(self, x_grid: Grid, basis: np.ndarray) -> np.ndarray:
+        """Stacked inequality rows acting on coefficients in ``basis``.
+
+        basis holds, as columns, directions in the weighted coordinates
+        u = sqrt(w_x) phi on x_grid. Each constraint's block is built and
+        reduced on its own, so no full inspection-by-x_grid stack is formed.
+        """
+        R = resample_matrix(x_grid, self.inspection_grid.nodes)
+        sw = np.sqrt(x_grid.weights)
+
+        def block(m):
+            # divided in place (R itself is shared and read-only); D dies on
+            # return, so no two full-size blocks are alive at once
+            D = np.diff(R, n=m, axis=0) if m > 0 else R.copy()
+            D /= sw
+            return D @ basis
+
+        blocks = [block(c.difference_order) for c in self.constraints]
+        return np.vstack(blocks) if blocks else np.zeros((0, basis.shape[1]))
+
+
+def check_shape(f: GridFunction, shapes: ConstraintSet) -> tuple[bool, ...]:
+    """One verdict per constraint of ``shapes``, in order.
+
+    f is resampled once onto the set's inspection grid, and for each
+    constraint the m-th order forward differences of those values are formed
+    (m = difference_order: 0 for nonnegativity, 1 for monotonicity, 2 for
+    convexity, the requested order for derivative_sign), the differences that
+    ``ConstraintSet.rows`` enforces. A constraint holds when every difference
+    is >= -tolerance. The differences carry the step factor h^m relative to
+    derivative values, which keeps the check's rounding noise far below the
+    default tolerance.
+    """
+    v = resample(f, shapes.inspection_grid).values
+    # np.diff with n = 0 returns v itself
+    return tuple(
+        float(np.diff(v, n=c.difference_order).min()) >= -c.tolerance
+        for c in shapes.constraints
+    )

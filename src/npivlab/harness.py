@@ -36,7 +36,6 @@ from .counterexamples import (
 )
 from .dgp import DgpSpec, make_dgp, phi0_on_grid, sample
 from .estimators import (
-    ConstraintSet,
     DegenerateSampleError,
     constrained_estimate,
     naive_estimate,
@@ -46,12 +45,12 @@ from .estimators import (
 from .function_space import (
     DEFAULT_INSPECTION_SIZE,
     UNIFORM_TRAPEZOID,
+    ConstraintSet,
     GridFunction,
     ShapeConstraint,
     check_shape,
     l2_norm,
     make_grid,
-    resample,
     sobolev_norm,
 )
 from .operators import apply, discretize, q_infinity, svd_report
@@ -255,20 +254,20 @@ def run_illposedness_demo(cfg: ExperimentConfig) -> ResultTable:
     # arrays are built.
     density_sup = dgp.sup_fxz
     x_grid, _, phi0, A, r = _problem(cfg, dgp)
-    inspection = make_grid(cfg.inspection_size, UNIFORM_TRAPEZOID)
-    checks = [
-        ShapeConstraint("monotone_nondecreasing"),
-        ShapeConstraint("nonnegative"),
-        ShapeConstraint("convex"),
-    ]
+    shapes = ConstraintSet(
+        constraints=(
+            ShapeConstraint("monotone_nondecreasing"),
+            ShapeConstraint("nonnegative"),
+            ShapeConstraint("convex"),
+        ),
+        inspection_grid=make_grid(cfg.inspection_size, UNIFORM_TRAPEZOID),
+    )
     rows = []
     for n in range(cfg.n_max + 1):
         cspec = CounterexampleSpec(cfg.family, n, cfg.epsilon)
         phi_n = perturb(phi0, cspec)
         direction = psi(cspec, x_grid)
         bound = analytic_sup_A_psi_bound(cspec, density_sup)
-        on_inspection = resample(phi_n, inspection)
-        flags = [check_shape(on_inspection, c, inspection) for c in checks]
         rows.append(
             (
                 n,
@@ -277,9 +276,7 @@ def run_illposedness_demo(cfg: ExperimentConfig) -> ResultTable:
                 cfg.epsilon**2 * bound**2,
                 float(np.abs(apply(A, direction).values).max()),
                 sobolev_norm(phi_n),
-                flags[0],
-                flags[1],
-                flags[2],
+                *check_shape(phi_n, shapes),
             )
         )
     columns = (
@@ -327,15 +324,10 @@ def run_estimator_comparison(cfg: ExperimentConfig) -> ResultTable:
     """
     _require(cfg, "estimator_comparison")
     x_grid, z_grid, phi0, A, r = _problem(cfg, make_dgp(cfg.dgp))
-    inspection = make_grid(cfg.inspection_size, UNIFORM_TRAPEZOID)
     cset = ConstraintSet(
         constraints=tuple(parse_constraint(name) for name in cfg.constraints),
-        inspection_grid=inspection,
+        inspection_grid=make_grid(cfg.inspection_size, UNIFORM_TRAPEZOID),
     )
-
-    def shape_ok(result):
-        on_inspection = resample(result.phi_hat, inspection)
-        return all(check_shape(on_inspection, c, inspection) for c in cset.constraints)
 
     solvers = [("naive", 0.0, lambda rr: naive_estimate(A, rr))]
     for lam in cfg.lambdas:
@@ -365,7 +357,7 @@ def run_estimator_comparison(cfg: ExperimentConfig) -> ResultTable:
                     err,
                     moved / delta if delta > 0 else 0.0,
                     est.kkt_residual,
-                    shape_ok(est),
+                    all(check_shape(est.phi_hat, cset)),
                     est.condition_diagnostic,
                     est.converged,
                 )

@@ -215,9 +215,9 @@ def test_criterion_7_sobolev_divergence():
 def test_criterion_8_kkt_certificates(constrained_solves):
     x, _, _, _, _, solves = constrained_solves
     worst_kkt = max(result.kkt_residual for result in solves.values())
-    relaxed = ShapeConstraint("monotone_nondecreasing", tolerance=1e-6)
+    relaxed = ConstraintSet((ShapeConstraint("monotone_nondecreasing", tolerance=1e-6),))
     shapes_ok = all(
-        bool(check_shape(result.phi_hat, relaxed)) for result in solves.values()
+        all(check_shape(result.phi_hat, relaxed)) for result in solves.values()
     )
     converged = all(result.converged for result in solves.values())
     ok = worst_kkt <= 1e-6 and shapes_ok and converged

@@ -156,8 +156,7 @@ class TestConstrained:
         np.testing.assert_array_equal(
             constrained.phi_hat.values, naive_estimate(A, r).phi_hat.values
         )
-        nonnegative = cset.constraints[0]
-        assert check_shape(constrained.phi_hat, nonnegative, cset.inspection_grid)
+        assert check_shape(constrained.phi_hat, cset) == (True,)
 
     def test_an_empty_constraint_set_is_the_naive_solve(self, problem):
         # reachable from a config as "constraints": []
@@ -184,9 +183,10 @@ class TestConstrained:
         assert result.kkt_residual <= 1e-6
         err = l2_norm(GridFunction(x, result.phi_hat.values - phi0.values))
         assert err >= 0.5 * eps
-        for c in MONOTONE_SET.constraints:
-            relaxed = ShapeConstraint(c.kind, c.order, 1e-6)
-            assert check_shape(result.phi_hat, relaxed)
+        relaxed = ConstraintSet(
+            tuple(ShapeConstraint(c.kind, c.order, 1e-6) for c in MONOTONE_SET.constraints)
+        )
+        assert all(check_shape(result.phi_hat, relaxed))
 
     def test_nonnegativity_is_enforced(self, problem):
         x, z, A, _, _ = problem
@@ -195,9 +195,7 @@ class TestConstrained:
         result = constrained_estimate(A, r, cset)
         assert result.phi_hat.values.min() >= -1e-9
         assert result.kkt_residual <= 1e-6
-        assert check_shape(
-            result.phi_hat, ShapeConstraint("nonnegative"), cset.inspection_grid
-        )
+        assert check_shape(result.phi_hat, cset) == (True,)
 
     def test_iteration_cap_reports_nonconvergence(self, problem):
         x, z, A, _, r = problem
@@ -292,8 +290,12 @@ class TestConstraintSet:
             ConstraintSet((ShapeConstraint("derivative_sign", order=3),), small)
         # on a Gauss grid the difference rows would not mean the shapes they
         # name: f(x) = x has second differences of both signs on 50 nodes
-        with pytest.raises(ValueError, match="uniform inspection grid"):
-            ConstraintSet((ShapeConstraint("convex"),), make_grid(50))
+        for gauss in (make_grid(50), make_grid(32)):
+            with pytest.raises(ValueError, match="uniform inspection grid"):
+                ConstraintSet((ShapeConstraint("convex"),), gauss)
+        # convex needs m + 2 = 4 nodes
+        with pytest.raises(ValueError, match="convex"):
+            ConstraintSet((ShapeConstraint("convex"),), make_grid(3, UNIFORM_TRAPEZOID))
 
     def test_matrix_applies_differences_of_the_resampled_values(self):
         # resampling a polynomial from a Gauss grid is exact, so the
@@ -372,6 +374,16 @@ class TestSampledPlugin:
         )
         with pytest.raises(DegenerateSampleError):
             sampled_plugin(clustered, make_grid(32), make_grid(32))
+
+    def test_rows_without_kernel_mass_are_flagged_by_the_density_threshold(self):
+        # with z in [0.4, 0.5], 13 of the 32 uniform z nodes get exactly zero
+        # kernel mass; their estimated f_Z is then exactly 0, so they are among
+        # the 27 nodes below the density threshold
+        rng = np.random.default_rng(0)
+        x = rng.random(2000)
+        banded = Sample(x=x, y=x**2, z=0.4 + 0.1 * rng.random(2000), seed=0)
+        with pytest.raises(DegenerateSampleError, match="27 of 32"):
+            sampled_plugin(banded, make_grid(64), make_grid(32, UNIFORM_TRAPEZOID))
 
     @staticmethod
     def _grids(kind):

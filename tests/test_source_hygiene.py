@@ -420,3 +420,44 @@ def test_the_default_census_sees_position_keyword_and_unpacking():
         "f(0, 1)\nf(0, d=4)\ng(*args)\nobj.h(**options)\n"
     )
     assert _unpassed_defaults([tree]) == {"f.c"}
+
+
+# Shape constraints have one owner: function_space forms the differences that
+# ConstraintSet.rows enforces and check_shape verifies, so no other module
+# takes differences of grid values.
+def _numpy_diff_lines(tree: ast.Module) -> list:
+    """Lines calling numpy's diff, as np.diff, numpy.diff or an imported diff."""
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+        for alias in node.names
+        if alias.name == "diff"
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            ast.unparse(node.func) in {"np.diff", "numpy.diff"}
+            or (isinstance(node.func, ast.Name) and node.func.id in imported)
+        )
+    ]
+
+
+def test_differences_are_taken_only_in_function_space():
+    users = {
+        path.name
+        for path in MODULES
+        if _numpy_diff_lines(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    }
+    assert users == {"function_space.py"}
+
+
+def test_the_difference_census_sees_every_spelling():
+    tree = ast.parse(
+        "import numpy as np\nimport numpy\nfrom numpy import diff as d\n"
+        "np.diff(v)\nnumpy.diff(v, n=2)\nd(v)\n"
+        "v.diff()\nnp.gradient(v)\ndiff(v)\n"
+    )
+    assert _numpy_diff_lines(tree) == [4, 5, 6]
