@@ -290,12 +290,8 @@ class TestConstraintSet:
             ConstraintSet((ShapeConstraint("derivative_sign", order=3),), small)
         # on a Gauss grid the difference rows would not mean the shapes they
         # name: f(x) = x has second differences of both signs on 50 nodes
-        for gauss in (make_grid(50), make_grid(32)):
-            with pytest.raises(ValueError, match="uniform inspection grid"):
-                ConstraintSet((ShapeConstraint("convex"),), gauss)
-        # convex needs m + 2 = 4 nodes
-        with pytest.raises(ValueError, match="convex"):
-            ConstraintSet((ShapeConstraint("convex"),), make_grid(3, UNIFORM_TRAPEZOID))
+        with pytest.raises(ValueError, match="uniform inspection grid"):
+            ConstraintSet((ShapeConstraint("convex"),), make_grid(50))
 
     def test_matrix_applies_differences_of_the_resampled_values(self):
         # resampling a polynomial from a Gauss grid is exact, so the

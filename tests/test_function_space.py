@@ -331,6 +331,16 @@ class TestCheckShape:
         flipped = GridFunction(self.grid, -self.grid.nodes**3)
         assert check_shape(flipped, third) == (False,)
 
+    def test_rejects_gauss_inspection_grid(self):
+        # the shapes check_shape inspects cannot be put on a Gauss grid
+        with pytest.raises(ValueError, match="uniform inspection grid"):
+            ConstraintSet((ShapeConstraint("convex"),), make_grid(32))
+
+    def test_rejects_tiny_inspection_grid(self):
+        # convex needs m + 2 = 4 nodes
+        with pytest.raises(ValueError, match="convex"):
+            ConstraintSet((ShapeConstraint("convex"),), make_grid(3, UNIFORM_TRAPEZOID))
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(
