@@ -23,10 +23,12 @@ norms agree with the L2 norms of the function space.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .counterexamples import MONOTONE, CounterexampleSpec, psi
 from .function_space import (
@@ -45,6 +47,39 @@ QP_MAX_ITERATIONS = 2000
 
 # Perturbation index whose image stability_probe uses as a direction.
 PROBE_PSI_INDEX = 50
+
+
+def _load_compiled_nnls():
+    """scipy's compiled Lawson-Hanson NNLS, loaded from its extension file so
+    that scipy.optimize (and the scipy.linalg and scipy.sparse it imports)
+    never loads. The extension links scipy's OpenBLAS; loading it at import
+    lets that library's start-up overlap the scipy.special import."""
+    name = "scipy.optimize._slsqplib"
+    spec = find_spec("scipy")
+    for root in spec.submodule_search_locations if spec else ():
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(root, "optimize", "_slsqplib" + suffix)
+            if os.path.isfile(path):
+                loader = ExtensionFileLoader(name, path)
+                module = module_from_spec(spec_from_file_location(name, path, loader=loader))
+                loader.exec_module(module)
+                return module.nnls
+    raise ImportError("npivlab needs scipy>=1.17, whose scipy/optimize/_slsqplib holds nnls")
+
+
+_COMPILED_NNLS = _load_compiled_nnls()
+
+
+def nnls(A: np.ndarray, b: np.ndarray, maxiter: int):
+    """argmin ||A x - b|| over x >= 0, returning (x, rnorm): the same bytes as
+    scipy.optimize.nnls, with the same input conversion before the compiled
+    call. Raises RuntimeError when the iteration cap is reached."""
+    A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
+    b = np.asarray_chkfinite(b, dtype=np.float64)
+    x, rnorm, info = _COMPILED_NNLS(A, b, maxiter)
+    if info == 3:
+        raise RuntimeError("Maximum number of iterations reached.")
+    return x, rnorm
 
 
 class NumericalError(RuntimeError):
@@ -152,7 +187,7 @@ def _restricted_multipliers(Acon: np.ndarray, grad: np.ndarray, slack: np.ndarra
         try:
             mu_a, _ = nnls(Acon[active].T, grad, maxiter=max(600, 3 * Acon.shape[1] * 10))
         except RuntimeError:
-            # scipy's nnls reports its iteration cap this way
+            # nnls raises RuntimeError at its iteration cap
             mu_a = np.zeros(int(active.sum()))
         mu[np.nonzero(active)[0]] = mu_a
     return mu

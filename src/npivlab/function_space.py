@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 GAUSS_LEGENDRE = "gauss_legendre"
 UNIFORM_TRAPEZOID = "uniform_trapezoid"
@@ -82,7 +83,7 @@ class Grid(Memoized):
         if self.rule == GAUSS_LEGENDRE:
             if size < 1:
                 raise ValueError("grid size must be at least 1")
-            t, w = np.polynomial.legendre.leggauss(size)
+            t, w = leggauss(size)
             nodes = 0.5 * (t + 1.0)
             weights = 0.5 * w
         elif self.rule == UNIFORM_TRAPEZOID:

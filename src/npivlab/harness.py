@@ -19,6 +19,7 @@ and 17-significant-digit floats, so emitted values round-trip exactly.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -485,8 +486,6 @@ def emit_csv(table: ResultTable, path) -> None:
     Floats are printed at 17 significant digits so parsing the file
     recovers them exactly. Lines end with CRLF.
     """
-    import csv
-
     try:
         handle = open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
@@ -506,8 +505,6 @@ def load_csv(path):
     Row cells come back as strings; numeric columns parse exactly with
     float() or int() thanks to the 17-digit output format.
     """
-    import csv
-
     metadata = {}
     data_lines = []
     with open(path, newline="", encoding="utf-8") as handle:

@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls as scipy_nnls
 
 import npivlab.estimators as estimators
 from npivlab.counterexamples import MONOTONE, CounterexampleSpec, psi
@@ -28,6 +29,7 @@ from npivlab.function_space import (
     make_grid,
     sobolev_norm,
 )
+from npivlab.harness import config_from_mapping, run_experiment
 from npivlab.operators import apply, discretize, svd_report, weighted_matrix
 
 
@@ -257,6 +259,97 @@ class TestConstrained:
         result = constrained_estimate(A, r, convex)
         assert not result.converged
         assert result.iterations == 16
+
+
+# The benchmark's two comparison workloads (perfbench/run.py): the only runs
+# whose constrained solves fit multipliers.
+COMPARISONS = {
+    "compare": {
+        "experiment": "estimator_comparison",
+        "quadrature_size": 128,
+        "z_size": 128,
+        "lambdas": [1e-4],
+        "constraints": ["monotone_nondecreasing"],
+    },
+    "compare_n512": {
+        "experiment": "estimator_comparison",
+        "quadrature_size": 512,
+        "z_size": 512,
+        "lambdas": [1e-6, 1e-4, 1e-2],
+        "constraints": ["monotone_nondecreasing", "convex"],
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def multiplier_problems():
+    """Every (A, b, maxiter) that _restricted_multipliers hands to nnls in
+    each comparison workload, as it hands them (A a Fortran-ordered view)."""
+    problems = {}
+    original = estimators.nnls
+    for name, mapping in COMPARISONS.items():
+        seen = problems[name] = []
+
+        def recording(A, b, maxiter, seen=seen):
+            seen.append((A, b, maxiter))
+            return original(A, b, maxiter)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimators, "nnls", recording)
+            run_experiment(config_from_mapping(mapping))
+    return problems
+
+
+def _assert_same_as_scipy(A, b, maxiter):
+    x, rnorm = estimators.nnls(A, b, maxiter)
+    x_ref, rnorm_ref = scipy_nnls(A, b, maxiter=maxiter)
+    assert x.tobytes() == x_ref.tobytes()
+    assert rnorm == rnorm_ref
+
+
+class TestNnls:
+    """estimators.nnls calls scipy's compiled NNLS without scipy.optimize and
+    must return exactly what scipy.optimize.nnls returns."""
+
+    def test_matches_scipy_on_the_compare_multiplier_problems(self, multiplier_problems):
+        problems = multiplier_problems["compare"]
+        assert problems and {A.shape for A, _, _ in problems} == {(19, 1)}
+        for A, b, maxiter in problems:
+            _assert_same_as_scipy(A, b, maxiter)
+
+    def test_matches_scipy_on_the_compare_n512_multiplier_problems(self, multiplier_problems):
+        problems = multiplier_problems["compare_n512"]
+        shapes = [A.shape for A, _, _ in problems]
+        # all 1999 convexity and monotonicity rows active, and partial sets
+        assert (22, 1999) in shapes
+        assert any(rows == 22 and 600 < cols < 1000 for rows, cols in shapes)
+        for A, b, maxiter in problems:
+            assert A.flags.f_contiguous and not A.flags.c_contiguous
+            _assert_same_as_scipy(A, b, maxiter)
+
+    def test_matches_scipy_on_fortran_ordered_and_strided_inputs(self):
+        rng = np.random.default_rng(3)
+        big = rng.standard_normal((60, 40))
+        b_big = rng.standard_normal(60)
+        for A, b in [
+            (np.asfortranarray(big[:30, :12]), b_big[:30]),
+            (big[::2, ::3], b_big[::2]),
+            (big[::2, ::3].T, rng.standard_normal(14)[::-1]),
+        ]:
+            _assert_same_as_scipy(A, b, 100)
+            x, rnorm = estimators.nnls(A, b, 100)
+            x_c, rnorm_c = estimators.nnls(np.ascontiguousarray(A), b.copy(), 100)
+            assert x.tobytes() == x_c.tobytes() and rnorm == rnorm_c
+
+    def test_the_iteration_cap_raises_in_both(self):
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((20, 10))
+        b = A @ rng.random(10)
+        with pytest.raises(RuntimeError):
+            scipy_nnls(A, b, maxiter=1)
+        with pytest.raises(RuntimeError):
+            estimators.nnls(A, b, 1)
+        _assert_same_as_scipy(A, b, 30)
 
 
 @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])

@@ -786,7 +786,7 @@ class TestRunInvariantWork:
         ids=["estimator_comparison", "montecarlo"],
     )
     def test_equal_x_and_z_sizes_share_one_gauss_rule(self, cfg, monkeypatch):
-        calls = self._count(monkeypatch, np.polynomial.legendre, "leggauss")
+        calls = self._count(monkeypatch, function_space, "leggauss")
         run_experiment(cfg)
         assert calls == [(32,)]
 

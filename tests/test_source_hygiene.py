@@ -8,6 +8,9 @@ claim of the test suite rests on it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -461,3 +464,54 @@ def test_the_difference_census_sees_every_spelling():
         "v.diff()\nnp.gradient(v)\ndiff(v)\n"
     )
     assert _numpy_diff_lines(tree) == [4, 5, 6]
+
+
+# scipy.optimize costs about half a second and 24 MB of import in every run
+# for one nnls call; estimators loads scipy's compiled NNLS without it.
+def _scipy_optimize_imports(tree: ast.Module) -> list:
+    """Lines importing scipy.optimize or anything inside it."""
+
+    def inside(module: str) -> bool:
+        return module == "scipy.optimize" or module.startswith("scipy.optimize.")
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [node.lineno for a in node.names if inside(a.name)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            if inside(module) or (
+                module == "scipy" and any(a.name == "optimize" for a in node.names)
+            ):
+                found.append(node.lineno)
+    return found
+
+
+def test_no_package_module_imports_scipy_optimize():
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in MODULES
+    }
+    assert {name: _scipy_optimize_imports(tree) for name, tree in trees.items()} == {
+        name: [] for name in trees
+    }
+
+
+def test_the_scipy_optimize_census_sees_every_spelling():
+    tree = ast.parse(
+        "import scipy.optimize\nfrom scipy.optimize import nnls\n"
+        "from scipy import optimize as opt\nimport scipy.optimize._nnls as n\n"
+        "import scipy.special\nfrom scipy import special\nfrom .optimize import x\n"
+    )
+    assert _scipy_optimize_imports(tree) == [1, 2, 3, 4]
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    probe = "import sys, npivlab.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SOURCE.parent), os.environ.get("PYTHONPATH")) if p
+    ))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
