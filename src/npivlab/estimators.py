@@ -16,6 +16,10 @@ Four routes are implemented on top of the discretized operator:
   * sampled_plugin: kernel plug-in estimates of the operator and reduced
     form from a finite sample, feeding the same solvers.
 
+solver_suite lists the solvers a table runs, and shifted_solves measures how
+far each one's estimate moves when the reduced form moves: the one loop behind
+the comparison table's and the stability probe's amplification columns.
+
 All solves work in weighted coordinates u = sqrt(w_x) phi so that Euclidean
 norms agree with the L2 norms of the function space.
 """
@@ -25,6 +29,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
 
@@ -215,11 +220,23 @@ def _solve_inequality_qp(S: np.ndarray, d: np.ndarray, Acon: np.ndarray, maxit: 
         return y_unc, np.zeros(nc), 0, True
     y = np.zeros(nv)
     # working rows in the order they entered (the order of Acon[work] fixes
-    # the QR's rounding), and the same rows as a mask
+    # the QR's rounding)
     work: list[int] = []
-    in_work = np.zeros(nc, dtype=bool)
     grad_scale = max(1.0, float(np.abs(2.0 * S * d).max()))
-    best = (np.inf, y.copy(), np.zeros(nc))
+    best = (np.inf, y, np.zeros(nc))
+
+    def fit(y):
+        # multipliers at y, kept with y (never written to) if the best yet
+        nonlocal best
+        grad = 2.0 * S * (S * y - d)
+        slack = Acon @ y
+        mu = _restricted_multipliers(Acon, grad, slack)
+        residual_dir = Acon.T @ mu - grad
+        stat = float(np.abs(residual_dir).max())
+        if stat < best[0]:
+            best = (stat, y, mu)
+        return grad, slack, mu, residual_dir, stat
+
     for it in range(1, maxit + 1):
         # a full working set leaves no free direction: the step is zero
         stalled = len(work) >= nv
@@ -234,13 +251,7 @@ def _solve_inequality_qp(S: np.ndarray, d: np.ndarray, Acon: np.ndarray, maxit: 
             p = y_cand - y
             stalled = np.linalg.norm(p) <= 1e-11 * (1.0 + np.linalg.norm(y))
         if stalled:
-            grad = 2.0 * S * (S * y - d)
-            slack = Acon @ y
-            mu = _restricted_multipliers(Acon, grad, slack)
-            residual_dir = Acon.T @ mu - grad
-            stat = float(np.abs(residual_dir).max())
-            if stat < best[0]:
-                best = (stat, y.copy(), mu.copy())
+            grad, slack, mu, residual_dir, stat = fit(y)
             if stat <= 1e-8 * grad_scale:
                 return y, mu, it, True
             q = S * residual_dir
@@ -266,11 +277,11 @@ def _solve_inequality_qp(S: np.ndarray, d: np.ndarray, Acon: np.ndarray, maxit: 
                 return best[1], best[2], it, False
             y = y + alpha * residual_dir
             work = []
-            in_work[:] = False
             continue
         slack = Acon @ y
         along = Acon @ p
-        mask = (along < -1e-13) & (~in_work)
+        mask = along < -1e-13
+        mask[work] = False
         if mask.any():
             ratios = np.where(mask, -slack / np.where(mask, along, -1.0), np.inf)
             np.clip(ratios, 0.0, None, out=ratios)
@@ -281,15 +292,9 @@ def _solve_inequality_qp(S: np.ndarray, d: np.ndarray, Acon: np.ndarray, maxit: 
             y = y + step_max * p
             entering = int(np.argmin(ratios))
             work.append(entering)
-            in_work[entering] = True
         else:
             y = y_cand
-    grad = 2.0 * S * (S * y - d)
-    slack = Acon @ y
-    mu = _restricted_multipliers(Acon, grad, slack)
-    stat = float(np.abs(Acon.T @ mu - grad).max())
-    if stat < best[0]:
-        best = (stat, y, mu)
+    fit(y)
     return best[1], best[2], maxit, False
 
 
@@ -337,6 +342,33 @@ def constrained_estimate(
         converged=converged,
         iterations=iterations,
     )
+
+
+def solver_suite(lambdas, constraints) -> list:
+    """The solvers a table runs, as (name, lambda, solve) triples in table
+    order, each called as solve(A, r): naive (lambda 0.0), Tikhonov at each of
+    lambdas, then the unregularized constrained solve (lambda 0.0) when
+    constraints is a ConstraintSet; None leaves it out."""
+    suite = [("naive", 0.0, naive_estimate)]
+    suite += [("tir", lam, partial(tir_estimate, lam=lam)) for lam in lambdas]
+    if isinstance(constraints, ConstraintSet):
+        solve = partial(constrained_estimate, constraints=constraints)
+        suite.append(("constrained", 0.0, solve))
+    return suite
+
+
+def shifted_solves(A: DiscreteOperator, r: GridFunction, suite, shifts):
+    """Solves once at r per solver of suite (from solver_suite), then, for
+    each (key, shift) of shifts and each solver, at r.values + shift, yielding
+    (key, name, lambda, base, est, movement): the results at r and at the
+    shifted data, and movement = ||est - base|| in L2."""
+    bases = [solve(A, r) for _, _, solve in suite]
+    for key, shift in shifts:
+        shifted = GridFunction(A.z_grid, r.values + shift)
+        for (name, lam, solve), base in zip(suite, bases):
+            est = solve(A, shifted)
+            moved = GridFunction(A.x_grid, est.phi_hat.values - base.phi_hat.values)
+            yield key, name, lam, base, est, l2_norm(moved)
 
 
 def _gaussian_block(
@@ -473,34 +505,18 @@ def stability_probe(
             raise ValueError(f"stability_probe requires 0 <= delta < inf, got {delta!r}")
     directions = _probe_directions(A)
     cset = ConstraintSet(constraints=(ShapeConstraint("monotone_nondecreasing"),))
-    solvers = {
-        "naive": lambda rr: naive_estimate(A, rr),
-        "tir": lambda rr: tir_estimate(A, rr, lam),
-        "constrained": lambda rr: constrained_estimate(A, rr, cset),
-    }
-    base = {name: solve(r) for name, solve in solvers.items()}
-    rows = []
-    for delta in deltas:
-        for dname, v in directions.items():
-            for sname, solve in solvers.items():
-                if delta == 0:
-                    amp = 0.0
-                    moved = base[sname]
-                else:
-                    shifted = GridFunction(A.z_grid, r.values + delta * v)
-                    moved = solve(shifted)
-                    diff = GridFunction(
-                        A.x_grid,
-                        moved.phi_hat.values - base[sname].phi_hat.values,
-                    )
-                    amp = l2_norm(diff) / delta
-                rows.append(
-                    {
-                        "delta": float(delta),
-                        "direction": dname,
-                        "solver": sname,
-                        "amplification": float(amp),
-                        "converged": base[sname].converged and moved.converged,
-                    }
-                )
-    return rows
+    shifts = [
+        ((delta, dname), delta * v) for delta in deltas for dname, v in directions.items()
+    ]
+    return [
+        {
+            "delta": float(delta),
+            "direction": dname,
+            "solver": name,
+            "amplification": float(movement / delta if delta > 0 else 0.0),
+            "converged": base.converged and est.converged,
+        }
+        for (delta, dname), name, _, base, est, movement in shifted_solves(
+            A, r, solver_suite((lam,), cset), shifts
+        )
+    ]

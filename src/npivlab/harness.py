@@ -36,13 +36,7 @@ from .counterexamples import (
     psi,
 )
 from .dgp import DgpSpec, make_dgp, phi0_on_grid, sample
-from .estimators import (
-    DegenerateSampleError,
-    constrained_estimate,
-    naive_estimate,
-    sampled_plugin,
-    tir_estimate,
-)
+from .estimators import DegenerateSampleError, sampled_plugin, shifted_solves, solver_suite
 from .function_space import (
     DEFAULT_INSPECTION_SIZE,
     UNIFORM_TRAPEZOID,
@@ -170,6 +164,8 @@ class ExperimentConfig:
                 f"got {self.lambdas}"
             )
         object.__setattr__(self, "lambdas", tuple(map(float, self.lambdas)))
+        if len(set(self.lambdas)) < len(self.lambdas):
+            raise ConfigError(f"lambdas must be distinct, got {self.lambdas}")
         for name in self.constraints:
             needed = parse_constraint(name).difference_order + 2
             if self.inspection_size < needed:
@@ -311,10 +307,6 @@ def run_svd_report(cfg: ExperimentConfig) -> ResultTable:
     )
 
 
-def _comparison_indices(n_max: int) -> list:
-    return [n for n in COMPARISON_N_VALUES if n <= n_max]
-
-
 def run_estimator_comparison(cfg: ExperimentConfig) -> ResultTable:
     """Solver head-to-head under perturbed reduced forms r + eps A psi_n.
 
@@ -324,45 +316,35 @@ def run_estimator_comparison(cfg: ExperimentConfig) -> ResultTable:
     flagged through the converged column and the run continues.
     """
     _require(cfg, "estimator_comparison")
-    x_grid, z_grid, phi0, A, r = _problem(cfg, make_dgp(cfg.dgp))
+    x_grid, _, phi0, A, r = _problem(cfg, make_dgp(cfg.dgp))
     cset = ConstraintSet(
         constraints=tuple(parse_constraint(name) for name in cfg.constraints),
         inspection_grid=make_grid(cfg.inspection_size, UNIFORM_TRAPEZOID),
     )
 
-    solvers = [("naive", 0.0, lambda rr: naive_estimate(A, rr))]
-    for lam in cfg.lambdas:
-        solvers.append(("tir", lam, lambda rr, lam=lam: tir_estimate(A, rr, lam)))
-    solvers.append(("constrained", 0.0, lambda rr: constrained_estimate(A, rr, cset)))
-    baselines = {
-        (name, lam): solve(r).phi_hat.values for name, lam, solve in solvers
-    }
-    rows = []
-    for n in _comparison_indices(cfg.n_max):
-        cspec = CounterexampleSpec(cfg.family, n, cfg.epsilon)
-        image = apply(A, psi(cspec, x_grid)).values
-        shift = cfg.epsilon * image
-        delta = math.sqrt(float(np.dot(A.fz_weights, shift**2)))
-        r_n = GridFunction(z_grid, r.values + shift)
-        for name, lam, solve in solvers:
-            est = solve(r_n)
-            err = l2_norm(GridFunction(x_grid, est.phi_hat.values - phi0.values))
-            moved = l2_norm(
-                GridFunction(x_grid, est.phi_hat.values - baselines[(name, lam)])
-            )
-            rows.append(
-                (
-                    n,
-                    lam,
-                    name,
-                    err,
-                    moved / delta if delta > 0 else 0.0,
-                    est.kkt_residual,
-                    all(check_shape(est.phi_hat, cset)),
-                    est.condition_diagnostic,
-                    est.converged,
-                )
-            )
+    def shifts():
+        # eps A psi_n, keyed by n and its fz-norm
+        for n in [k for k in COMPARISON_N_VALUES if k <= cfg.n_max]:
+            cspec = CounterexampleSpec(cfg.family, n, cfg.epsilon)
+            shift = cfg.epsilon * apply(A, psi(cspec, x_grid)).values
+            yield (n, math.sqrt(float(np.dot(A.fz_weights, shift**2)))), shift
+
+    rows = [
+        (
+            n,
+            lam,
+            name,
+            l2_norm(GridFunction(x_grid, est.phi_hat.values - phi0.values)),
+            moved / delta if delta > 0 else 0.0,
+            est.kkt_residual,
+            all(check_shape(est.phi_hat, cset)),
+            est.condition_diagnostic,
+            est.converged,
+        )
+        for (n, delta), name, lam, _, est, moved in shifted_solves(
+            A, r, solver_suite(cfg.lambdas, cset), shifts()
+        )
+    ]
     columns = (
         "n",
         "lambda",
@@ -403,7 +385,7 @@ def run_montecarlo(cfg: ExperimentConfig) -> ResultTable:
         w = x_grid.weights[interior]
         return math.sqrt(float(np.dot(w, err**2)) / weight_sum)
 
-    cells = [("naive", 0.0)] + [("tir", lam) for lam in cfg.lambdas]
+    suite = solver_suite(cfg.lambdas, None)
     work = (np.empty((x_grid.size, m)), np.empty((z_grid.size, m)))
 
     # One replication per call, so its sample and operator (with everything
@@ -415,23 +397,17 @@ def run_montecarlo(cfg: ExperimentConfig) -> ResultTable:
         except DegenerateSampleError:
             return [
                 ("replication", i, m, lam, name, float("nan"), "degenerate")
-                for name, lam in cells
+                for name, lam, _ in suite
             ]
-        out = []
-        for name, lam in cells:
-            if name == "naive":
-                est = naive_estimate(op, r_hat)
-            else:
-                est = tir_estimate(op, r_hat, lam)
-            out.append(
-                ("replication", i, m, lam, name, interior_error(est.phi_hat), "ok")
-            )
-        return out
+        return [
+            ("replication", i, m, lam, name, interior_error(solve(op, r_hat).phi_hat), "ok")
+            for name, lam, solve in suite
+        ]
 
     rows = [row for i in range(cfg.replications) for row in replicate(i)]
 
     summary = []
-    for name, lam in cells:
+    for name, lam, _ in suite:
         errs = [
             row[5]
             for row in rows

@@ -656,6 +656,45 @@ class TestStabilityProbe:
             stability_probe(A, r, [1e-6, delta], 1e-4)
 
 
+class TestSolverSuite:
+    def test_table_order_and_lambdas(self):
+        suite = estimators.solver_suite((1e-2, 1e-4), MONOTONE_SET)
+        assert [(name, lam) for name, lam, _ in suite] == [
+            ("naive", 0.0),
+            ("tir", 1e-2),
+            ("tir", 1e-4),
+            ("constrained", 0.0),
+        ]
+        without = estimators.solver_suite((1e-2, 1e-4), None)
+        assert [(name, lam) for name, lam, _ in without] == [
+            (name, lam) for name, lam, _ in suite[:3]
+        ]
+
+    @pytest.mark.parametrize("n_shifts", [1, 3])
+    def test_shifted_solves_solve_at_r_once_per_solver(
+        self, problem, monkeypatch, n_shifts
+    ):
+        _, _, A, _, r = problem
+        seen = []
+        original = estimators.tir_estimate
+
+        def counting(A, r, lam):
+            seen.append((r.values.tobytes(), lam))
+            return original(A, r, lam)
+
+        monkeypatch.setattr(estimators, "tir_estimate", counting)
+        suite = estimators.solver_suite((1e-2, 1e-4), None)
+        v = np.linspace(-1.0, 1.0, r.grid.size)
+        shifts = [(k, k * 1e-3 * v) for k in range(1, n_shifts + 1)]
+        out = list(estimators.shifted_solves(A, r, suite, shifts))
+        assert [(key, name) for key, name, *_ in out] == [
+            (key, name) for key, _ in shifts for name in ("naive", "tir", "tir")
+        ]
+        at_r = [lam for values, lam in seen if values == r.values.tobytes()]
+        assert at_r == [1e-2, 1e-4]
+        assert len(seen) == 2 * (1 + n_shifts)
+
+
 def _fresh_problem():
     x = make_grid(64)
     spec = DgpSpec(rho=0.5)

@@ -84,6 +84,7 @@ class TestConfigValidation:
             ),
             (dict(lambdas=()), "lambdas must contain at least one value"),
             (dict(lambdas=(1e-4, -1.0)), "Tikhonov lambda values must be positive"),
+            (dict(lambdas=(1e-4, 1e-4)), "lambdas must be distinct"),
             (dict(constraints=("wiggly",)), "unknown constraint name"),
             (dict(replications=0), "replications must be at least 1"),
         ]

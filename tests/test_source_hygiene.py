@@ -515,3 +515,40 @@ def test_importing_the_cli_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "False"
+
+
+# Which solvers a table runs is written once, in estimators.solver_suite; the
+# experiments reach the solvers only through it.
+SOLVERS = {"naive_estimate", "tir_estimate", "constrained_estimate"}
+
+
+def _solver_mentions(tree: ast.Module) -> list:
+    """Lines naming a solver: a call or other use, an import or an attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in SOLVERS:
+            found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in SOLVERS:
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            found += [node.lineno for a in node.names if a.name in SOLVERS]
+    return sorted(found)
+
+
+def test_only_estimators_names_the_solvers():
+    users = {
+        path.name
+        for path in MODULES
+        if _solver_mentions(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    }
+    assert users == {"estimators.py"}
+
+
+def test_the_solver_census_sees_a_call_an_import_and_an_attribute():
+    tree = ast.parse(
+        "from .estimators import tir_estimate as t\n"
+        "naive_estimate(A, r)\n"
+        "est.constrained_estimate\n"
+        "solver_suite(lams, cset)\ntir(A, r)\n"
+    )
+    assert _solver_mentions(tree) == [1, 2, 3]
