@@ -10,8 +10,8 @@ Four routes are implemented on top of the discretized operator:
     since retained singular values reach the truncation floor.
   * constrained_estimate: the naive solver's unregularized least-squares
     objective under linear shape inequalities (nonnegativity, monotonicity,
-    convexity) enforced on a uniform inspection grid, solved by a primal
-    active-set method in the retained singular subspace with a KKT
+    convexity) enforced at equally spaced inspection nodes, solved by a
+    primal active-set method in the retained singular subspace with a KKT
     certificate.
   * sampled_plugin: kernel plug-in estimates of the operator and reduced
     form from a finite sample, feeding the same solvers.
@@ -317,7 +317,7 @@ def constrained_estimate(
     """Shape-constrained least squares, no penalty, with a KKT certificate.
 
     Minimizes the data fit ||M u - rt||^2 (the naive solver's objective)
-    subject to the constraint rows evaluated on the inspection grid. The
+    subject to the constraint rows evaluated at the set's inspection nodes. The
     problem is projected onto the operator's retained singular subspace;
     within it the active-set solver returns a certified optimum or, if it
     stalls or hits the iteration cap, the best iterate found with

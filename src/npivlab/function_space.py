@@ -1,12 +1,11 @@
 """Grids, quadrature, and L2/Sobolev geometry on [0, 1].
 
 Everything downstream works with functions represented by their values on a
-quadrature grid. Two grid rules are supported: Gauss-Legendre, the only rule
-functions are resampled from or differentiated on, and uniform with trapezoid
-weights, a target only: shape inspection (equally spaced nodes keep the
-difference checks well scaled) and sampled-mode z quadrature. The shape
-constraints live here too: ConstraintSet gives the rows the constrained solve
-enforces, and check_shape verifies the same differences.
+Gauss-Legendre quadrature grid, the one grid rule: functions are integrated,
+resampled from and differentiated on it. The shape constraints live here too:
+a ConstraintSet holds its own equally spaced inspection nodes, gives the rows
+the constrained solve enforces there, and check_shape verifies the same
+differences.
 """
 
 from __future__ import annotations
@@ -16,9 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-
-GAUSS_LEGENDRE = "gauss_legendre"
-UNIFORM_TRAPEZOID = "uniform_trapezoid"
 
 DEFAULT_INSPECTION_SIZE = 1001
 DEFAULT_SHAPE_TOL = 1e-9
@@ -61,18 +57,16 @@ def _is_integer(value) -> bool:
 
 @dataclass(frozen=True)
 class Grid(Memoized):
-    """Quadrature rule on [0, 1], fixed by its size and rule.
+    """Gauss-Legendre quadrature rule on [0, 1], fixed by its size.
 
-    Gauss-Legendre nodes/weights come from the classical rule on [-1, 1]
-    mapped affinely; with m nodes it integrates polynomials of degree
-    2m - 1 exactly. The uniform rule uses trapezoid weights. Either way the
+    Nodes/weights come from the classical rule on [-1, 1] mapped affinely;
+    with m nodes it integrates polynomials of degree 2m - 1 exactly. The
     weights sum to 1 (the integral of the constant function), so quadrature
     is ``sum(w * f)``. Nodes and weights are derived and read-only, grids
-    compare and hash by (size, rule), and each grid keeps its own memo.
+    compare and hash by size, and each grid keeps its own memo.
     """
 
     size: int
-    rule: str
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -80,23 +74,11 @@ class Grid(Memoized):
         size = self.size
         if not _is_integer(size):
             raise ValueError(f"grid size must be an integer, got {size!r}")
-        if self.rule == GAUSS_LEGENDRE:
-            if size < 1:
-                raise ValueError("grid size must be at least 1")
-            t, w = leggauss(size)
-            nodes = 0.5 * (t + 1.0)
-            weights = 0.5 * w
-        elif self.rule == UNIFORM_TRAPEZOID:
-            if size < 2:
-                raise ValueError("a uniform trapezoid grid needs at least 2 nodes")
-            nodes = np.linspace(0.0, 1.0, size)
-            h = 1.0 / (size - 1)
-            weights = np.full(size, h)
-            weights[0] = weights[-1] = h / 2.0
-        else:
-            raise ValueError(f"unknown grid rule {self.rule!r}")
-        object.__setattr__(self, "nodes", _read_only(nodes))
-        object.__setattr__(self, "weights", _read_only(weights))
+        if size < 1:
+            raise ValueError("grid size must be at least 1")
+        t, w = leggauss(size)
+        object.__setattr__(self, "nodes", _read_only(0.5 * (t + 1.0)))
+        object.__setattr__(self, "weights", _read_only(0.5 * w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,9 +96,9 @@ class GridFunction:
             raise ValueError("values must be finite")
 
 
-def make_grid(size: int, rule: str = GAUSS_LEGENDRE) -> Grid:
+def make_grid(size: int) -> Grid:
     """Build a quadrature grid of the given size on [0, 1] (see Grid)."""
-    return Grid(size, rule)
+    return Grid(size)
 
 
 def l2_norm(f: GridFunction) -> float:
@@ -124,8 +106,6 @@ def l2_norm(f: GridFunction) -> float:
 
 
 def _barycentric_weights(grid: Grid) -> np.ndarray:
-    if grid.rule != GAUSS_LEGENDRE:
-        raise ValueError(f"a {grid.rule!r} grid cannot be a source grid")
     # For Gauss-Legendre nodes the barycentric weights have the closed form
     # (-1)^i sqrt((1 - t_i^2) w_i) in the [-1, 1] variables, up to a common
     # scale that cancels in the interpolation formula.
@@ -138,8 +118,7 @@ def resample_matrix(src: Grid, targets: np.ndarray) -> np.ndarray:
     """Matrix taking values on ``src`` to interpolated values at ``targets``.
 
     Barycentric polynomial interpolation (the functions in this package are
-    polynomials or analytic, so this is essentially exact). Gauss sources
-    only: any other source raises ValueError.
+    polynomials or analytic, so this is essentially exact).
 
     The matrix is built once per target values and kept on ``src``, so
     every caller gets the same shared array for as long as the grid lives.
@@ -167,19 +146,11 @@ def _build_resample_matrix(src: Grid, targets: np.ndarray) -> np.ndarray:
     return R
 
 
-def resample(f: GridFunction, target: Grid) -> GridFunction:
-    if f.grid == target:
-        return GridFunction(target, f.values.copy())
-    R = resample_matrix(f.grid, target.nodes)
-    return GridFunction(target, R @ f.values)
-
-
 def differentiation_matrix(grid: Grid) -> np.ndarray:
     """Differentiation matrix on the grid's own nodes.
 
     It differentiates the interpolating polynomial (spectral accuracy for
-    the analytic functions used here). Gauss grids only: any other grid
-    raises ValueError.
+    the analytic functions used here).
     """
     bw = _barycentric_weights(grid)
     diff = grid.nodes[:, None] - grid.nodes[None, :]
@@ -194,9 +165,9 @@ def sobolev_norm(f: GridFunction) -> float:
     """First-order Sobolev norm sqrt(||f||^2 + ||f'||^2).
 
     The derivative is taken with `differentiation_matrix` on the function's
-    own grid, so on Gauss grids the seminorm of a polynomial is computed to
-    near machine precision. The matrix is kept on the grid, so norms of many
-    functions on one grid build it once.
+    own grid, so the seminorm of a polynomial is computed to near machine
+    precision. The matrix is kept on the grid, so norms of many functions on
+    one grid build it once.
     """
     grid = f.grid
     D = grid.memo(
@@ -207,17 +178,14 @@ def sobolev_norm(f: GridFunction) -> float:
     return float(np.sqrt(np.dot(w, f.values**2) + np.dot(w, df**2)))
 
 
-def default_inspection_grid() -> Grid:
-    return make_grid(DEFAULT_INSPECTION_SIZE, UNIFORM_TRAPEZOID)
-
-
 @dataclass(frozen=True)
 class ShapeConstraint:
     """A sign restriction on a function or one of its difference orders.
 
     kind is one of "nonnegative", "monotone_nondecreasing", "convex", or
-    "derivative_sign" (with ``order`` m >= 1 selecting the m-th differences).
-    tolerance is the absolute slack allowed in the discrete check.
+    "derivative_sign" (with ``order`` m >= 1 selecting the m-th differences;
+    the other kinds take no order). tolerance is the absolute slack allowed
+    in the discrete check.
     """
 
     kind: str
@@ -232,6 +200,8 @@ class ShapeConstraint:
             raise ValueError(f"order must be an integer, got {self.order!r}")
         if self.kind == "derivative_sign" and self.order < 1:
             raise ValueError("derivative_sign requires order >= 1")
+        if self.kind != "derivative_sign" and self.order != 0:
+            raise ValueError(f"{self.kind} takes no order, got {self.order!r}")
         if not 0 <= self.tolerance < math.inf:
             raise ValueError(
                 f"tolerance must be nonnegative and finite, got {self.tolerance!r}"
@@ -256,30 +226,34 @@ class ShapeConstraint:
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Shape constraints on a uniform inspection grid.
+    """Shape constraints on inspection_size equally spaced nodes of [0, 1].
 
     The constrained solve enforces the set through ``rows`` and check_shape
     verifies it: both take each constraint's m-th order differences of values
-    on the inspection grid, which must be uniform (so the differences mean the
-    shapes they name) and hold at least m + 2 nodes. This is the only place in
-    the library that checks that rule.
+    at ``nodes``, which the set derives itself (equally spaced, so the
+    differences mean the shapes they name). There must be at least k + 2
+    nodes, k the set's highest difference order, and at least 2 for an empty
+    set: this is the only place in the library that checks that rule. Sets
+    compare and hash by (constraints, inspection_size).
     """
 
     constraints: tuple
-    inspection_grid: Grid = field(default_factory=default_inspection_grid)
+    inspection_size: int = DEFAULT_INSPECTION_SIZE
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        if self.inspection_grid.rule != UNIFORM_TRAPEZOID:
-            raise ValueError("ConstraintSet requires a uniform inspection grid")
-        for c in self.constraints:
-            if not isinstance(c, ShapeConstraint):
-                raise ValueError("constraints must be ShapeConstraint instances")
-            if self.inspection_grid.size < c.difference_order + 2:
-                raise ValueError(
-                    f"inspection grid of size {self.inspection_grid.size} is "
-                    f"too small for constraint {c.name!r}"
-                )
+        if not all(isinstance(c, ShapeConstraint) for c in self.constraints):
+            raise ValueError("constraints must be ShapeConstraint instances")
+        n = self.inspection_size
+        if not _is_integer(n):
+            raise ValueError(f"inspection_size must be an integer, got {n!r}")
+        top = max(self.constraints, key=lambda c: c.difference_order, default=None)
+        needed = 2 if top is None else top.difference_order + 2
+        if n < needed:
+            which = "" if top is None else f" for constraint {top.name!r}"
+            raise ValueError(f"inspection_size must be at least {needed}{which}, got {n}")
+        object.__setattr__(self, "nodes", _read_only(np.linspace(0.0, 1.0, n)))
 
     def rows(self, x_grid: Grid, basis: np.ndarray) -> np.ndarray:
         """Stacked inequality rows acting on coefficients in ``basis``.
@@ -288,7 +262,7 @@ class ConstraintSet:
         u = sqrt(w_x) phi on x_grid. Each constraint's block is built and
         reduced on its own, so no full inspection-by-x_grid stack is formed.
         """
-        R = resample_matrix(x_grid, self.inspection_grid.nodes)
+        R = resample_matrix(x_grid, self.nodes)
         sw = np.sqrt(x_grid.weights)
 
         def block(m):
@@ -305,7 +279,7 @@ class ConstraintSet:
 def check_shape(f: GridFunction, shapes: ConstraintSet) -> tuple[bool, ...]:
     """One verdict per constraint of ``shapes``, in order.
 
-    f is resampled once onto the set's inspection grid, and for each
+    f is resampled once onto the set's inspection nodes, and for each
     constraint the m-th order forward differences of those values are formed
     (m = difference_order: 0 for nonnegativity, 1 for monotonicity, 2 for
     convexity, the requested order for derivative_sign), the differences that
@@ -314,7 +288,7 @@ def check_shape(f: GridFunction, shapes: ConstraintSet) -> tuple[bool, ...]:
     derivative values, which keeps the check's rounding noise far below the
     default tolerance.
     """
-    v = resample(f, shapes.inspection_grid).values
+    v = resample_matrix(f.grid, shapes.nodes) @ f.values
     # np.diff with n = 0 returns v itself
     return tuple(
         float(np.diff(v, n=c.difference_order).min()) >= -c.tolerance

@@ -39,7 +39,6 @@ from .dgp import DgpSpec, make_dgp, phi0_on_grid, sample
 from .estimators import DegenerateSampleError, sampled_plugin, shifted_solves, solver_suite
 from .function_space import (
     DEFAULT_INSPECTION_SIZE,
-    UNIFORM_TRAPEZOID,
     ConstraintSet,
     GridFunction,
     ShapeConstraint,
@@ -54,6 +53,13 @@ ARTIFACT_VERSION = "0.1.0"
 
 SVD_GRID_SIZES = (64, 128)
 COMPARISON_N_VALUES = (0, 1, 2, 5, 10, 20, 50, 100)
+
+# The shapes illposedness_demo checks, in its column order.
+DEMO_SHAPES = (
+    ShapeConstraint("monotone_nondecreasing"),
+    ShapeConstraint("nonnegative"),
+    ShapeConstraint("convex"),
+)
 
 
 class ConfigError(ValueError):
@@ -138,8 +144,6 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.quadrature_size < 2 or self.z_size < 2:
             raise ConfigError("quadrature_size and z_size must be at least 2")
-        if self.inspection_size < 4:
-            raise ConfigError("inspection_size must be at least 4")
         if self.n_max < 0:
             raise ConfigError("n_max must be nonnegative")
         if self.n_max > MAX_INDEX:
@@ -166,13 +170,12 @@ class ExperimentConfig:
         object.__setattr__(self, "lambdas", tuple(map(float, self.lambdas)))
         if len(set(self.lambdas)) < len(self.lambdas):
             raise ConfigError(f"lambdas must be distinct, got {self.lambdas}")
-        for name in self.constraints:
-            needed = parse_constraint(name).difference_order + 2
-            if self.inspection_size < needed:
-                raise ConfigError(
-                    f"inspection_size must be at least {needed} for constraint "
-                    f"{name!r}, got {self.inspection_size}"
-                )
+        try:
+            # the demo's shapes and the comparison's, on inspection_size nodes
+            for shapes in (DEMO_SHAPES, map(parse_constraint, self.constraints)):
+                ConstraintSet(tuple(shapes), self.inspection_size)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
         if self.experiment == "montecarlo" and self.sample_size < 50:
@@ -251,14 +254,7 @@ def run_illposedness_demo(cfg: ExperimentConfig) -> ResultTable:
     # arrays are built.
     density_sup = dgp.sup_fxz
     x_grid, _, phi0, A, r = _problem(cfg, dgp)
-    shapes = ConstraintSet(
-        constraints=(
-            ShapeConstraint("monotone_nondecreasing"),
-            ShapeConstraint("nonnegative"),
-            ShapeConstraint("convex"),
-        ),
-        inspection_grid=make_grid(cfg.inspection_size, UNIFORM_TRAPEZOID),
-    )
+    shapes = ConstraintSet(DEMO_SHAPES, cfg.inspection_size)
     rows = []
     for n in range(cfg.n_max + 1):
         cspec = CounterexampleSpec(cfg.family, n, cfg.epsilon)
@@ -317,10 +313,7 @@ def run_estimator_comparison(cfg: ExperimentConfig) -> ResultTable:
     """
     _require(cfg, "estimator_comparison")
     x_grid, _, phi0, A, r = _problem(cfg, make_dgp(cfg.dgp))
-    cset = ConstraintSet(
-        constraints=tuple(parse_constraint(name) for name in cfg.constraints),
-        inspection_grid=make_grid(cfg.inspection_size, UNIFORM_TRAPEZOID),
-    )
+    cset = ConstraintSet(tuple(map(parse_constraint, cfg.constraints)), cfg.inspection_size)
 
     def shifts():
         # eps A psi_n, keyed by n and its fz-norm

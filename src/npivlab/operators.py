@@ -20,7 +20,7 @@ DGPs) as shared read-only arrays:
     per lambda;
   * for the constrained solve, the constraint rows reduced to the retained
     singular subspace, one entry per constraint set, keyed by the set
-    itself (a value: its inspection grid compares by size and rule).
+    itself (a value: it compares by its constraints and inspection size).
 
 What depends on the x grid alone is kept on the grid instead, so operators
 that share a grid (montecarlo's replications) share it: the resample matrix

@@ -10,7 +10,7 @@ from npivlab.dgp import (
     phi0_on_grid,
     sample,
 )
-from npivlab.function_space import UNIFORM_TRAPEZOID, make_grid
+from npivlab.function_space import make_grid
 from npivlab.operators import apply, discretize, q_infinity
 
 
@@ -34,11 +34,11 @@ def test_conditional_density_matches_gaussian_copula_oracle(rho):
 
 def test_rho_zero_and_independent_case_are_exactly_flat():
     # the copula formula gives exp(+-0) / sqrt(1) = 1.0 exactly, at rho = -0.0
-    # too and at the clipped endpoints 0 and 1 of the uniform grid
+    # too and at the clipped endpoints 0 and 1 of equally spaced points
     for rho in (0.0, -0.0):
         dgp = make_dgp(DgpSpec(rho=rho))
-        for g in (make_grid(32), make_grid(33, UNIFORM_TRAPEZOID)):
-            vals = dgp.f_x_given_z(g.nodes[None, :], g.nodes[:, None])
+        for nodes in (make_grid(32).nodes, np.linspace(0.0, 1.0, 33)):
+            vals = dgp.f_x_given_z(nodes[None, :], nodes[:, None])
             assert np.all(vals == 1.0)
         assert dgp.sup_fxz == 1.0
 

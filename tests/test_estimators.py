@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -20,7 +21,6 @@ from npivlab.estimators import (
     tir_estimate,
 )
 from npivlab.function_space import (
-    UNIFORM_TRAPEZOID,
     GridFunction,
     ShapeConstraint,
     check_shape,
@@ -232,10 +232,7 @@ class TestConstrained:
         A = discretize(make_dgp(spec), x, x)
         shift = apply(A, psi(CounterexampleSpec(MONOTONE, n), x)).values
         r = GridFunction(x, apply(A, phi0_on_grid(spec, x)).values + 0.1 * shift)
-        convex = ConstraintSet(
-            constraints=(ShapeConstraint("convex"),),
-            inspection_grid=make_grid(201, UNIFORM_TRAPEZOID),
-        )
+        convex = ConstraintSet(constraints=(ShapeConstraint("convex"),), inspection_size=201)
         return A, r, convex
 
     @pytest.mark.parametrize("n", [5, 20])
@@ -377,14 +374,9 @@ class TestConstraintSet:
         assert G.shape == (1001 + 1000 + 999, 5)
 
     def test_rejects_inspection_grid_too_small_for_the_order(self):
-        small = make_grid(4, UNIFORM_TRAPEZOID)
-        ConstraintSet((ShapeConstraint("convex"),), small)
+        ConstraintSet((ShapeConstraint("convex"),), 4)
         with pytest.raises(ValueError, match="derivative_sign_3"):
-            ConstraintSet((ShapeConstraint("derivative_sign", order=3),), small)
-        # on a Gauss grid the difference rows would not mean the shapes they
-        # name: f(x) = x has second differences of both signs on 50 nodes
-        with pytest.raises(ValueError, match="uniform inspection grid"):
-            ConstraintSet((ShapeConstraint("convex"),), make_grid(50))
+            ConstraintSet((ShapeConstraint("derivative_sign", order=3),), 4)
 
     def test_matrix_applies_differences_of_the_resampled_values(self):
         # resampling a polynomial from a Gauss grid is exact, so the
@@ -393,7 +385,7 @@ class TestConstraintSet:
         cset = ConstraintSet(constraints=(ShapeConstraint("monotone_nondecreasing"),))
         # the rows act on the weighted coordinates u = sqrt(w_x) phi
         G = cset.rows(x, np.eye(x.size))
-        direct = np.diff(cset.inspection_grid.nodes**2)
+        direct = np.diff(cset.nodes**2)
         assert np.abs(G @ (np.sqrt(x.weights) * x.nodes**2) - direct).max() < 1e-10
         # in a basis, they act on the coefficients
         basis = np.linalg.qr(np.vander(x.nodes, 3))[0]
@@ -412,7 +404,7 @@ class TestSampledPlugin:
         dgp = make_dgp(DgpSpec(rho=0.0))
         s = sample(dgp, 10_000, seed=11)
         x_grid = make_grid(64)
-        z_grid = make_grid(128, rule="uniform_trapezoid")
+        z_grid = make_grid(128)
         A_hat, r_hat = sampled_plugin(s, x_grid, z_grid)
         interior = (z_grid.nodes >= 0.1) & (z_grid.nodes <= 0.9)
         assert np.abs(r_hat.values[interior] - 1.0 / 3.0).max() < 0.05
@@ -421,7 +413,7 @@ class TestSampledPlugin:
     def test_more_data_reduces_regression_error(self):
         dgp = make_dgp(DgpSpec(rho=0.0))
         x_grid = make_grid(64)
-        z_grid = make_grid(128, rule="uniform_trapezoid")
+        z_grid = make_grid(128)
         errs = []
         for m in (1_000, 10_000):
             s = sample(dgp, m, seed=11)
@@ -433,16 +425,14 @@ class TestSampledPlugin:
     def test_rows_integrate_to_one(self):
         dgp = make_dgp(DgpSpec(rho=0.5))
         s = sample(dgp, 2_000, seed=3)
-        A_hat, _ = sampled_plugin(
-            s, make_grid(64), make_grid(64, rule="uniform_trapezoid")
-        )
+        A_hat, _ = sampled_plugin(s, make_grid(64), make_grid(64))
         assert np.abs(A_hat.kernel_matrix.sum(axis=1) - 1.0).max() < 1e-9
 
     def test_unsupported_z_region_is_flagged_not_fatal(self):
         dgp = make_dgp(DgpSpec(rho=0.5))
         s = sample(dgp, 2_000, seed=3)
         squeezed = Sample(x=s.x, y=s.y, z=s.z * 0.7, seed=s.seed)
-        z_grid = make_grid(128, rule="uniform_trapezoid")
+        z_grid = make_grid(128)
         A_hat, _ = sampled_plugin(squeezed, make_grid(64), z_grid)
         # flagged nodes are the ones whose fz weight is zeroed
         assert np.count_nonzero(A_hat.fz_weights == 0.0) > 0
@@ -465,21 +455,28 @@ class TestSampledPlugin:
             sampled_plugin(clustered, make_grid(32), make_grid(32))
 
     def test_rows_without_kernel_mass_are_flagged_by_the_density_threshold(self):
-        # with z in [0.4, 0.5], 13 of the 32 uniform z nodes get exactly zero
+        # with z in [0.4, 0.5], the z nodes far from the band get exactly zero
         # kernel mass; their estimated f_Z is then exactly 0, so they are among
-        # the 27 nodes below the density threshold
+        # the nodes below the density threshold
         rng = np.random.default_rng(0)
         x = rng.random(2000)
         banded = Sample(x=x, y=x**2, z=0.4 + 0.1 * rng.random(2000), seed=0)
-        with pytest.raises(DegenerateSampleError, match="27 of 32"):
-            sampled_plugin(banded, make_grid(64), make_grid(32, UNIFORM_TRAPEZOID))
+        z_grid = make_grid(32)
+        hz = 1.06 * float(np.std(banded.z)) * banded.size**-0.2
+        mass = np.exp(-0.5 * ((z_grid.nodes[:, None] - banded.z) / hz) ** 2).sum(axis=1)
+        zero_mass = int(np.count_nonzero(mass == 0.0))
+        assert zero_mass > 0
+        with pytest.raises(DegenerateSampleError) as excinfo:
+            sampled_plugin(banded, make_grid(64), z_grid)
+        flagged = re.search(r"at (\d+) of 32 nodes", str(excinfo.value))
+        assert zero_mass <= int(flagged.group(1))
 
     @staticmethod
     def _grids(kind):
         if kind == "equal":
             grid = make_grid(128)
             return grid, grid
-        return make_grid(64), make_grid(48, rule=UNIFORM_TRAPEZOID)
+        return make_grid(64), make_grid(48)
 
     @staticmethod
     def _outputs(op, r_hat):
@@ -775,10 +772,10 @@ class TestFactorizationReuse:
         monkeypatch.setattr(ConstraintSet, "rows", counting)
         for rr in data:
             constrained_estimate(A, rr, MONOTONE_SET)
-        # an equal set built anew (fresh grid arrays) is the same cache entry
+        # an equal set built anew (fresh node array) is the same cache entry
         same = ConstraintSet(
             constraints=(ShapeConstraint("monotone_nondecreasing"),),
-            inspection_grid=make_grid(1001, UNIFORM_TRAPEZOID),
+            inspection_size=1001,
         )
         constrained_estimate(A, r, same)
         assert len(calls) == 1
@@ -796,7 +793,7 @@ class TestFactorizationReuse:
         sets = [
             MONOTONE_SET,
             ConstraintSet((ShapeConstraint("convex"),)),
-            ConstraintSet((monotone,), make_grid(257, UNIFORM_TRAPEZOID)),
+            ConstraintSet((monotone,), 257),
             ConstraintSet((monotone, ShapeConstraint("convex"))),
         ]
         shared = [[constrained_estimate(A, rr, c) for rr in data] for c in sets]

@@ -9,19 +9,16 @@ from hypothesis import strategies as st
 from npivlab import function_space
 from npivlab.estimators import naive_estimate
 from npivlab.function_space import (
-    GAUSS_LEGENDRE,
-    UNIFORM_TRAPEZOID,
+    DEFAULT_INSPECTION_SIZE,
     Grid,
     GridFunction,
     ConstraintSet,
     GridMismatchError,
     ShapeConstraint,
     check_shape,
-    default_inspection_grid,
     differentiation_matrix,
     l2_norm,
     make_grid,
-    resample,
     resample_matrix,
     sobolev_norm,
 )
@@ -37,25 +34,17 @@ def gauss128():
 def test_gauss_grid_basics(gauss128):
     g = gauss128
     assert g.size == 128
-    assert g.rule == GAUSS_LEGENDRE
     assert np.all(g.nodes > 0) and np.all(g.nodes < 1)
     assert np.all(np.diff(g.nodes) > 0)
     assert np.all(g.weights > 0)
     assert abs(g.weights.sum() - 1.0) < 1e-14
 
 
-def test_uniform_grid_trapezoid_weights():
-    g = make_grid(5, UNIFORM_TRAPEZOID)
-    np.testing.assert_allclose(g.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
-    np.testing.assert_allclose(g.weights, [0.125, 0.25, 0.25, 0.25, 0.125])
-
-
 def test_make_grid_validation():
     with pytest.raises(ValueError):
         make_grid(0)
-    with pytest.raises(ValueError):
-        make_grid(1, UNIFORM_TRAPEZOID)
-    with pytest.raises(ValueError):
+    # Gauss-Legendre is the one rule, so a grid takes no rule argument
+    with pytest.raises(TypeError):
         make_grid(8, "chebyshev")
 
 
@@ -74,39 +63,26 @@ def test_gauss_quadrature_integrates_monomials_exactly(k):
     assert abs(val - 1.0 / (k + 1)) < 1e-13
 
 
-def _reference_arrays(size, rule):
-    """The two rules' nodes and weights, written out independently of Grid."""
-    if rule == GAUSS_LEGENDRE:
-        t, w = np.polynomial.legendre.leggauss(size)
-        return 0.5 * (t + 1.0), 0.5 * w
-    nodes = np.linspace(0.0, 1.0, size)
-    h = 1.0 / (size - 1)
-    weights = np.full(size, h)
-    weights[0] = weights[-1] = h / 2.0
-    return nodes, weights
+# The test ids name the grid rule, Gauss-Legendre, the only one.
+def _gauss_ids(value):
+    return f"gauss_legendre-{value}"
 
 
-@pytest.mark.parametrize(
-    "rule, size",
-    [(GAUSS_LEGENDRE, 1), (UNIFORM_TRAPEZOID, 2)]
-    + [
-        (rule, size)
-        for rule in (GAUSS_LEGENDRE, UNIFORM_TRAPEZOID)
-        for size in (3, 64, 128, 512, 1001)
-    ],
-)
-def test_grid_arrays_are_bit_equal_to_the_reference_rule(rule, size):
-    g = Grid(size, rule)
-    nodes, weights = _reference_arrays(size, rule)
+@pytest.mark.parametrize("size", [1, 3, 64, 128, 512, 1001], ids=_gauss_ids)
+def test_grid_arrays_are_bit_equal_to_the_reference_rule(size):
+    g = Grid(size)
+    # the rule's nodes and weights, written out independently of Grid
+    t, w = np.polynomial.legendre.leggauss(size)
+    nodes, weights = 0.5 * (t + 1.0), 0.5 * w
     assert g.nodes.dtype == g.weights.dtype == np.float64
     assert g.nodes.tobytes() == nodes.tobytes()
     assert g.weights.tobytes() == weights.tobytes()
 
 
 def test_grids_of_equal_size_and_rule_are_equal_and_keep_their_own_memos():
-    a, b = make_grid(8), Grid(8, GAUSS_LEGENDRE)
+    a, b = make_grid(8), Grid(8)
     assert a is not b and a == b and hash(a) == hash(b)
-    assert a != make_grid(9) and a != make_grid(8, UNIFORM_TRAPEZOID)
+    assert a != make_grid(9)
     assert a.memo("key", lambda: "a") == "a"
     assert b.memo("key", lambda: "b") == "b"
     assert a.memo("key", lambda: "again") == "a"
@@ -121,14 +97,13 @@ def test_grids_of_equal_size_and_rule_are_equal_and_keep_their_own_memos():
 def test_a_grid_of_another_size_or_rule_is_a_mismatch():
     own = make_grid(8)
     A = DiscreteOperator(own, own, np.tile(own.weights, (8, 1)), own.weights)
-    for other in (make_grid(9), make_grid(8, UNIFORM_TRAPEZOID)):
-        theirs = GridFunction(other, np.linspace(1.0, 2.0, other.size))
-        with pytest.raises(GridMismatchError):
-            apply(A, theirs)
-        with pytest.raises(GridMismatchError):
-            q_infinity(A, GridFunction(own, np.ones(8)), theirs)
-        with pytest.raises(GridMismatchError):
-            naive_estimate(A, theirs)
+    theirs = GridFunction(make_grid(9), np.linspace(1.0, 2.0, 9))
+    with pytest.raises(GridMismatchError):
+        apply(A, theirs)
+    with pytest.raises(GridMismatchError):
+        q_infinity(A, GridFunction(own, np.ones(8)), theirs)
+    with pytest.raises(GridMismatchError):
+        naive_estimate(A, theirs)
 
 
 finite_arrays = st.lists(
@@ -150,35 +125,35 @@ def test_norm_absolute_homogeneity(a, c):
 def test_resample_polynomial_is_exact(gauss128):
     coeffs = np.array([0.3, -1.2, 0.7, 2.0, -0.5])
     f = GridFunction(gauss128, np.polyval(coeffs, gauss128.nodes))
-    target = make_grid(257, UNIFORM_TRAPEZOID)
-    got = resample(f, target)
-    np.testing.assert_allclose(got.values, np.polyval(coeffs, target.nodes), atol=1e-11)
+    targets = np.linspace(0.0, 1.0, 257)
+    got = resample_matrix(gauss128, targets) @ f.values
+    np.testing.assert_allclose(got, np.polyval(coeffs, targets), atol=1e-11)
 
 
 def test_resample_same_grid_is_identity(gauss128):
+    R = resample_matrix(gauss128, gauss128.nodes)
+    np.testing.assert_array_equal(R, np.eye(128))
     f = GridFunction(gauss128, np.sin(gauss128.nodes))
-    np.testing.assert_array_equal(resample(f, gauss128).values, f.values)
+    np.testing.assert_array_equal(R @ f.values, f.values)
 
 
-@pytest.mark.parametrize("rule", [GAUSS_LEGENDRE])
-def test_resample_matrix_is_memoized_and_read_only(rule):
-    src = make_grid(64, rule)
-    targets = default_inspection_grid().nodes
+def test_resample_matrix_is_memoized_and_read_only():
+    src = make_grid(64)
+    targets = np.linspace(0.0, 1.0, DEFAULT_INSPECTION_SIZE)
     R = resample_matrix(src, targets)
     np.testing.assert_array_equal(R, _build_resample_matrix(src, targets))
     # the matrix is kept on the grid, keyed by the target values
     assert resample_matrix(src, targets.copy()) is R
     # an equal grid built afresh builds an equal matrix of its own
-    fresh = resample_matrix(make_grid(64, rule), targets)
+    fresh = resample_matrix(make_grid(64), targets)
     assert fresh is not R
     np.testing.assert_array_equal(fresh, R)
     with pytest.raises(ValueError):
         R[0, 0] = 1.0
 
 
-@pytest.mark.parametrize("rule", [GAUSS_LEGENDRE])
-def test_resample_matrix_rows_at_source_nodes_are_unit_rows(rule):
-    src = make_grid(16, rule)
+def test_resample_matrix_rows_at_source_nodes_are_unit_rows():
+    src = make_grid(16)
     cols = np.array([0, 5, 15])
     targets = np.sort(np.concatenate([src.nodes[cols], [0.123, 0.777]]))
     R = resample_matrix(src, targets)
@@ -196,7 +171,7 @@ def test_shared_grid_matrices_threaded_equal_serial():
     # grids shared by every thread, each first read in the pool, so threads
     # race on missing keys
     grids = [make_grid(n) for n in (32, 64, 96, 128)]
-    targets = [make_grid(m, UNIFORM_TRAPEZOID).nodes for m in (257, 1001)]
+    targets = [np.linspace(0.0, 1.0, m) for m in (257, 1001)]
     serial = {
         (i, j): _build_resample_matrix(g, t)
         for i, g in enumerate(grids)
@@ -236,26 +211,6 @@ def test_differentiation_matrix_spectral_on_gauss(gauss128):
     assert np.abs(D @ np.ones(128)).max() < 1e-10
 
 
-def test_uniform_source_grid_is_rejected():
-    # uniform grids are targets only: nothing is resampled from them or
-    # differentiated on them
-    g = make_grid(11, UNIFORM_TRAPEZOID)
-    with pytest.raises(ValueError, match="cannot be a source grid"):
-        resample_matrix(g, make_grid(32).nodes)
-    with pytest.raises(ValueError, match="cannot be a source grid"):
-        differentiation_matrix(g)
-    with pytest.raises(ValueError, match="cannot be a source grid"):
-        sobolev_norm(GridFunction(g, g.nodes**2))
-
-
-def test_two_node_uniform_grid_cannot_be_differentiated():
-    g = make_grid(2, UNIFORM_TRAPEZOID)
-    with pytest.raises(ValueError, match="cannot be a source grid"):
-        differentiation_matrix(g)
-    with pytest.raises(ValueError, match="cannot be a source grid"):
-        sobolev_norm(GridFunction(g, np.array([0.0, 1.0])))
-
-
 def test_sobolev_norm_builds_the_matrix_once_per_grid(monkeypatch):
     calls = []
     original = function_space.differentiation_matrix
@@ -282,12 +237,6 @@ def test_sobolev_norm_of_square(gauss128):
 def test_sobolev_norm_of_constant(gauss128):
     f = GridFunction(gauss128, np.full(128, -2.5))
     assert abs(sobolev_norm(f) - 2.5) < 1e-10
-
-
-def test_default_inspection_grid_shape():
-    g = default_inspection_grid()
-    assert g.size == 1001
-    assert g.rule == UNIFORM_TRAPEZOID
 
 
 KINDS = ("nonnegative", "monotone_nondecreasing", "convex")
@@ -331,15 +280,10 @@ class TestCheckShape:
         flipped = GridFunction(self.grid, -self.grid.nodes**3)
         assert check_shape(flipped, third) == (False,)
 
-    def test_rejects_gauss_inspection_grid(self):
-        # the shapes check_shape inspects cannot be put on a Gauss grid
-        with pytest.raises(ValueError, match="uniform inspection grid"):
-            ConstraintSet((ShapeConstraint("convex"),), make_grid(32))
-
     def test_rejects_tiny_inspection_grid(self):
         # convex needs m + 2 = 4 nodes
-        with pytest.raises(ValueError, match="convex"):
-            ConstraintSet((ShapeConstraint("convex"),), make_grid(3, UNIFORM_TRAPEZOID))
+        with pytest.raises(ValueError, match="at least 4 for constraint 'convex', got 3"):
+            ConstraintSet((ShapeConstraint("convex"),), 3)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -353,17 +297,59 @@ class TestCheckShape:
     def test_power_of_two_scaling_equivariance(self, vals, k):
         # scaling values and tolerance by 2^k is exact in floating point,
         # so the verdict cannot change
-        grid = make_grid(33, UNIFORM_TRAPEZOID)
+        grid = make_grid(33)
         f = GridFunction(grid, np.array(vals))
         c = 2.0**k
         scaled = GridFunction(grid, c * f.values)
         def shapes(tol):
-            return ConstraintSet(tuple(ShapeConstraint(k, tolerance=tol) for k in KINDS), grid)
+            return ConstraintSet(tuple(ShapeConstraint(k, tolerance=tol) for k in KINDS), 33)
 
         base = check_shape(f, shapes(1e-9))
         after = check_shape(scaled, shapes(1e-9 * c))
         assert len(base) == 3
         assert base == after
+
+
+class TestInspectionNodes:
+    """A ConstraintSet derives its equally spaced nodes from inspection_size
+    and owns the one rule on that size."""
+
+    @pytest.mark.parametrize("size", [2, 3, 64, 128, 512, 1001])
+    def test_nodes_are_bit_equal_to_linspace(self, size):
+        nodes = ConstraintSet((), size).nodes
+        assert nodes.tobytes() == np.linspace(0.0, 1.0, size).tobytes()
+        assert not nodes.flags.writeable
+
+    def test_default_size(self):
+        assert ConstraintSet(()).inspection_size == DEFAULT_INSPECTION_SIZE == 1001
+
+    def test_the_message_names_the_highest_order_in_either_order(self):
+        convex, monotone = ShapeConstraint("convex"), ShapeConstraint("monotone_nondecreasing")
+        for constraints in ((convex, monotone), (monotone, convex)):
+            with pytest.raises(ValueError) as excinfo:
+                ConstraintSet(constraints, 3)
+            assert str(excinfo.value) == (
+                "inspection_size must be at least 4 for constraint 'convex', got 3"
+            )
+
+    def test_an_empty_set_needs_two_nodes(self):
+        ConstraintSet((), 2)
+        for size in (0, 1):
+            with pytest.raises(ValueError) as excinfo:
+                ConstraintSet((), size)
+            assert str(excinfo.value) == f"inspection_size must be at least 2, got {size}"
+
+    @pytest.mark.parametrize("size", [True, 3.0, 2.5, "4", 1001.0])
+    def test_inspection_size_must_be_an_integer(self, size):
+        with pytest.raises(ValueError, match="inspection_size must be an integer"):
+            ConstraintSet((), size)
+
+    def test_sets_compare_and_hash_by_constraints_and_size(self):
+        monotone = (ShapeConstraint("monotone_nondecreasing"),)
+        a, b = ConstraintSet(monotone, 257), ConstraintSet(list(monotone), np.int64(257))
+        assert a == b and hash(a) == hash(b) and a.nodes is not b.nodes
+        assert a != ConstraintSet(monotone, 258)
+        assert a != ConstraintSet((ShapeConstraint("convex"),), 257)
 
 
 def test_shape_constraint_validation():
@@ -384,6 +370,16 @@ def test_shape_constraint_validation():
             ShapeConstraint("derivative_sign", order=order)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_only_derivative_sign_takes_an_order(kind):
+    # an order on another kind named the same constraint yet compared unequal
+    # to it, so the same rows were built and cached twice
+    for order in (3, -1):
+        with pytest.raises(ValueError, match="takes no order"):
+            ShapeConstraint(kind, order=order)
+    assert ShapeConstraint(kind, order=0) == ShapeConstraint(kind)
+
+
 def test_difference_orders():
     assert ShapeConstraint("nonnegative").difference_order == 0
     assert ShapeConstraint("monotone_nondecreasing").difference_order == 1
@@ -400,7 +396,7 @@ def test_grid_function_validation(gauss128):
 
 
 def test_grid_arrays_are_derived_and_read_only():
-    for g in (make_grid(3), make_grid(5, UNIFORM_TRAPEZOID)):
+    for g in (make_grid(3), make_grid(5)):
         for a in (g.nodes, g.weights):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -408,25 +404,22 @@ def test_grid_arrays_are_derived_and_read_only():
 
 
 def test_grid_validation_rejects_bad_inputs():
-    # a grid is its size and rule: nodes and weights cannot be passed in
+    # a grid is its size: nodes, weights and a rule cannot be passed in
     with pytest.raises(TypeError):
-        Grid(3, GAUSS_LEGENDRE, nodes=np.array([0.1, 0.5, 0.9]))
-    with pytest.raises(ValueError, match="unknown grid rule"):
+        Grid(3, nodes=np.array([0.1, 0.5, 0.9]))
+    with pytest.raises(TypeError):
         Grid(3, "chebyshev")
     with pytest.raises(ValueError):
-        Grid(0, GAUSS_LEGENDRE)
-    with pytest.raises(ValueError):
-        Grid(1, UNIFORM_TRAPEZOID)
+        Grid(0)
 
 
-@pytest.mark.parametrize("size", [True, 3.0, 2.5, "4"])
-@pytest.mark.parametrize("rule", [GAUSS_LEGENDRE, UNIFORM_TRAPEZOID])
-def test_grid_size_must_be_an_integer(size, rule):
+@pytest.mark.parametrize("size", [True, 3.0, 2.5, "4"], ids=_gauss_ids)
+def test_grid_size_must_be_an_integer(size):
     with pytest.raises(ValueError, match="grid size must be an integer"):
-        Grid(size, rule)
+        Grid(size)
 
 
 def test_a_numpy_integer_size_makes_the_same_grid():
-    g = Grid(np.int64(5), UNIFORM_TRAPEZOID)
-    assert g == make_grid(5, UNIFORM_TRAPEZOID)
-    np.testing.assert_array_equal(g.nodes, np.linspace(0.0, 1.0, 5))
+    g = Grid(np.int64(5))
+    assert g == make_grid(5)
+    np.testing.assert_array_equal(g.nodes, make_grid(5).nodes)

@@ -8,8 +8,9 @@ import pytest
 from npivlab import function_space
 from npivlab.dgp import DgpSpec, make_dgp
 from npivlab.estimators import DegenerateSampleError
-from npivlab.function_space import make_grid, sobolev_norm
+from npivlab.function_space import ConstraintSet, make_grid, sobolev_norm
 from npivlab.harness import (
+    DEMO_SHAPES,
     ConfigError,
     ExperimentConfig,
     ResultTable,
@@ -731,6 +732,26 @@ class TestConfigLoading:
             config_from_mapping(raw)
         assert config_from_mapping(dict(raw, inspection_size=5)).inspection_size == 5
 
+    @pytest.mark.parametrize(
+        "size, names, failing",
+        [
+            # below the demo's convexity check, whatever the constraints
+            (3, ["monotone_nondecreasing"], DEMO_SHAPES),
+            (4, ["derivative_sign_3", "convex"], None),
+            (6, ["nonnegative", "derivative_sign_5"], None),
+        ],
+    )
+    def test_inspection_size_errors_are_the_constraint_set_messages(
+        self, size, names, failing
+    ):
+        raw = {"experiment": "svd_report", "inspection_size": size, "constraints": names}
+        failing = failing or tuple(map(parse_constraint, names))
+        with pytest.raises(ValueError) as want:
+            ConstraintSet(failing, size)
+        with pytest.raises(ConfigError) as got:
+            config_from_mapping(raw)
+        assert str(got.value) == str(want.value)
+
     def test_load_config_happy_path(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(
@@ -809,7 +830,7 @@ class TestRunInvariantWork:
         real = harness_mod.sampled_plugin
 
         def copy(g):
-            return Grid(g.size, g.rule)
+            return Grid(g.size)
 
         def fresh_grids(draws, x_grid, z_grid, work=None):
             # equal grids of its own per replication, so nothing is shared

@@ -361,9 +361,7 @@ class TestFactorizationCache:
         dgp = make_dgp(spec)
         population = discretize(dgp, make_grid(64), make_grid(64))
         draws = sample(dgp, 2_000, seed=3)
-        plugin, _ = sampled_plugin(
-            draws, make_grid(64), make_grid(64, rule="uniform_trapezoid")
-        )
+        plugin, _ = sampled_plugin(draws, make_grid(64), make_grid(64))
         return {"discretized": population, "sampled_plugin": plugin}
 
     @pytest.mark.parametrize("kind", ["discretized", "sampled_plugin"])

@@ -466,6 +466,50 @@ def test_the_difference_census_sees_every_spelling():
     assert _numpy_diff_lines(tree) == [4, 5, 6]
 
 
+# The inspection rule has one owner too: a ConstraintSet derives its equally
+# spaced nodes and checks their count against its difference orders, so no
+# other module spaces points evenly or reads a difference order.
+def _inspection_rule_lines(tree: ast.Module) -> list:
+    """Lines reading .difference_order or calling numpy's linspace."""
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+        for alias in node.names
+        if alias.name == "linspace"
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "difference_order":
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call) and (
+            ast.unparse(node.func) in {"np.linspace", "numpy.linspace"}
+            or (isinstance(node.func, ast.Name) and node.func.id in imported)
+        ):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_function_space_spaces_inspection_nodes():
+    users = {
+        path.name
+        for path in MODULES
+        if _inspection_rule_lines(
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        )
+    }
+    assert users == {"function_space.py"}
+
+
+def test_the_inspection_census_sees_every_spelling():
+    tree = ast.parse(
+        "import numpy as np\nfrom numpy import linspace as ls\n"
+        "np.linspace(0, 1, 5)\nnumpy.linspace(0, 1, 5)\nls(0, 1, 5)\n"
+        "c.difference_order + 2\ngetattr(c, 'order')\nnp.arange(5)\nlinspace(0, 1)\n"
+    )
+    assert _inspection_rule_lines(tree) == [3, 4, 5, 6]
+
+
 # scipy.optimize costs about half a second and 24 MB of import in every run
 # for one nnls call; estimators loads scipy's compiled NNLS without it.
 def _scipy_optimize_imports(tree: ast.Module) -> list:
