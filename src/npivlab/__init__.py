@@ -7,4 +7,39 @@ from the truth, and compares naive, Tikhonov-regularized, and
 shape-constrained estimators on the resulting inverse problem.
 """
 
+import os
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
+
 __version__ = "0.1.0"
+
+
+def _load_compiled(subpackage: str, name: str):
+    """Load one of scipy's compiled extension files without importing the
+    scipy package that holds it (scipy.optimize and scipy.special cost about
+    half a second of import between them).
+
+    Load order matters. scipy/optimize/_slsqplib links scipy's own OpenBLAS,
+    whose worker thread spins for about 0.1 s after the library loads, and
+    the extension's init imports numpy. Loaded first, before anything has
+    imported numpy, that spin runs while numpy imports instead of during the
+    command that follows. The package __init__ runs before every submodule,
+    so this holds for any fresh import of npivlab.
+    """
+    qualified = f"scipy.{subpackage}.{name}"
+    spec = find_spec("scipy")
+    for root in spec.submodule_search_locations if spec else ():
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(root, subpackage, name + suffix)
+            if os.path.isfile(path):
+                loader = ExtensionFileLoader(qualified, path)
+                module = module_from_spec(spec_from_file_location(qualified, path, loader=loader))
+                loader.exec_module(module)
+                return module
+    raise ImportError(f"npivlab needs scipy>=1.17, whose scipy/{subpackage}/{name} it loads")
+
+
+# Lawson-Hanson NNLS: nnls(A, b, maxiter) -> (x, rnorm, info). Loaded first.
+_nnls = _load_compiled("optimize", "_slsqplib").nnls
+# The standard normal cdf, the very ufunc scipy.special.ndtr exports.
+_ndtr = _load_compiled("special", "_special_ufuncs").ndtr

@@ -2,11 +2,12 @@
 
 The dependence between X and Z is a Gaussian copula: (X, Z) =
 (Phi(V), Phi(W)) for standard bivariate normal (V, W) with correlation rho.
-Both marginals are exactly uniform on [0, 1], the joint density is smooth
-and bounded for |rho| < 1, and rho = 0 degenerates to the independent
-case with density identically 1. Y = phi0(X) + noise_sd * eta with eta
-standard normal independent of (V, W), so E[Y - phi0(X) | Z] = 0 holds by
-construction.
+Both marginals are exactly uniform on [0, 1]. The joint density is smooth
+on the open square; for rho != 0 it is unbounded toward the two corners
+(0, 0) and (1, 1) (toward (0, 1) and (1, 0) when rho < 0), and rho = 0
+degenerates to the independent case with density identically 1.
+Y = phi0(X) + noise_sd * eta with eta standard normal independent of
+(V, W), so E[Y - phi0(X) | Z] = 0 holds by construction.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from . import _ndtr as ndtr
 from .function_space import Grid, GridFunction, Memoized
 
 PHI0_CHOICES = ("square", "linear", "affine_plus_exp", "custom")
@@ -26,6 +27,67 @@ PHI0_CHOICES = ("square", "linear", "affine_plus_exp", "custom")
 _CLIP = 1e-12
 
 _LATTICE = 512
+
+# Cephes ndtri (Moshier, Methods and Programs for Mathematical Functions,
+# 1989), the source of scipy.special.ndtri, whose bytes ndtri below keeps.
+# P0/Q0 serve the centre |y - 1/2| <= 1/2 - exp(-2); P1/Q1 and P2/Q2 the tails
+# in 1/x, x = sqrt(-2 log y), below and above x = 8. Each Q leads with Cephes's
+# implied 1, and 1 * x is exact, so _polevl gives p1evl's bytes too.
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+# libm's log, as Cephes calls it; numpy's np.log differs in the last bit.
+_LOG = np.frompyfunc(math.log, 1, 1)
+
+
+def _polevl(x, coef):
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def ndtri(p):
+    """Inverse of the standard normal cdf, bit-equal to scipy.special.ndtri:
+    -inf at 0, +inf at 1, nan outside [0, 1]."""
+    p = np.asarray(p, dtype=float)
+    upper = p > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - p, p)
+    out = np.full(p.shape, np.nan)
+    centre = y > _EXP_M2
+    t = y[centre] - 0.5
+    t2 = t * t
+    out[centre] = (t + t * (t2 * _polevl(t2, _P0) / _polevl(t2, _Q0))) * _S2PI
+    tail = (y > 0.0) & ~centre
+    x = np.sqrt(-2.0 * _LOG(y[tail]).astype(float))
+    x0 = x - _LOG(x).astype(float) / x
+    z = 1.0 / x
+    x1 = np.where(
+        x < 8.0,
+        z * _polevl(z, _P1) / _polevl(z, _Q1),
+        z * _polevl(z, _P2) / _polevl(z, _Q2),
+    )
+    x = x0 - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    out[p == 0.0] = -np.inf
+    out[p == 1.0] = np.inf
+    return out
 
 
 @dataclass(frozen=True)
@@ -95,8 +157,16 @@ class Dgp(Memoized):
         return self.memo("sup_fxz", self._lattice_sup)
 
     def _lattice_sup(self) -> float:
-        pts = (np.arange(_LATTICE) + 0.5) / _LATTICE
-        return float(self.f_x_given_z(pts[None, :], pts[:, None]).max())
+        # The lattice max sits in a corner cell, so only the four corner
+        # midpoints are evaluated. Write a = ndtri(x), b = ndtri(z) and c for
+        # the edge rows' |a|. For fixed b the exponent is a concave quadratic
+        # in a that peaks at a = b / rho with value b^2 / 2. If |b| <= |rho| c,
+        # that is at most rho^2 c^2 / 2 <= c^2 |rho| / (1 + |rho|), the
+        # exponent at the corners a = b = +-c (a = -b = +-c when rho < 0).
+        # Otherwise the peak lies beyond the edge rows, so the max over a is on
+        # an edge row, where the same argument in b puts it at a corner.
+        corners = np.array([0.5, _LATTICE - 0.5]) / _LATTICE
+        return float(self.f_x_given_z(corners[None, :], corners[:, None]).max())
 
     def f_x_given_z(self, x, z):
         """Conditional density of X given Z: the copula density itself,

@@ -27,14 +27,12 @@ norms agree with the L2 norms of the function space.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import partial
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import find_spec, module_from_spec, spec_from_file_location
 
 import numpy as np
 
+from . import _nnls as _compiled_nnls
 from .counterexamples import MONOTONE, CounterexampleSpec, psi
 from .function_space import (
     ConstraintSet,
@@ -54,34 +52,13 @@ QP_MAX_ITERATIONS = 2000
 PROBE_PSI_INDEX = 50
 
 
-def _load_compiled_nnls():
-    """scipy's compiled Lawson-Hanson NNLS, loaded from its extension file so
-    that scipy.optimize (and the scipy.linalg and scipy.sparse it imports)
-    never loads. The extension links scipy's OpenBLAS; loading it at import
-    lets that library's start-up overlap the scipy.special import."""
-    name = "scipy.optimize._slsqplib"
-    spec = find_spec("scipy")
-    for root in spec.submodule_search_locations if spec else ():
-        for suffix in EXTENSION_SUFFIXES:
-            path = os.path.join(root, "optimize", "_slsqplib" + suffix)
-            if os.path.isfile(path):
-                loader = ExtensionFileLoader(name, path)
-                module = module_from_spec(spec_from_file_location(name, path, loader=loader))
-                loader.exec_module(module)
-                return module.nnls
-    raise ImportError("npivlab needs scipy>=1.17, whose scipy/optimize/_slsqplib holds nnls")
-
-
-_COMPILED_NNLS = _load_compiled_nnls()
-
-
 def nnls(A: np.ndarray, b: np.ndarray, maxiter: int):
     """argmin ||A x - b|| over x >= 0, returning (x, rnorm): the same bytes as
     scipy.optimize.nnls, with the same input conversion before the compiled
     call. Raises RuntimeError when the iteration cap is reached."""
     A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
     b = np.asarray_chkfinite(b, dtype=np.float64)
-    x, rnorm, info = _COMPILED_NNLS(A, b, maxiter)
+    x, rnorm, info = _compiled_nnls(A, b, maxiter)
     if info == 3:
         raise RuntimeError("Maximum number of iterations reached.")
     return x, rnorm

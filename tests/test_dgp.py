@@ -1,11 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.special
+from numpy.polynomial.legendre import leggauss
 from scipy.stats import multivariate_normal, norm
 
 from npivlab.dgp import (
     Dgp,
     DgpSpec,
     make_dgp,
+    ndtr,
+    ndtri,
     phi0_callable,
     phi0_on_grid,
     sample,
@@ -85,8 +91,20 @@ def test_make_dgp_evaluates_no_density_until_the_sup_is_read(monkeypatch):
     dgp = make_dgp(DgpSpec(rho=0.5))
     assert calls == []
     first = dgp.sup_fxz
-    assert calls == [(512, 512)]
+    assert calls == [(2, 2)]  # the four corner cells of the lattice
     assert dgp.sup_fxz == first and len(calls) == 1
+
+
+def test_sup_over_the_corner_cells_is_the_lattice_max():
+    pts = (np.arange(512) + 0.5) / 512
+    sweep = [*np.linspace(-0.999, 0.999, 201), 0.0, -0.0, 1e-9, -1e-9, 0.9999999, -0.9999999]
+    differ = []
+    for rho in sweep:
+        dgp = make_dgp(DgpSpec(rho=float(rho)))
+        lattice_max = float(dgp.f_x_given_z(pts[None, :], pts[:, None]).max())
+        if np.float64(dgp.sup_fxz).tobytes() != np.float64(lattice_max).tobytes():
+            differ.append((float(rho), dgp.sup_fxz, lattice_max))
+    assert differ == []
 
 
 def test_stronger_dependence_has_larger_sup():
@@ -205,3 +223,64 @@ def test_reduced_form_of_increasing_phi0_is_increasing():
     spec = DgpSpec(rho=0.5)
     r = apply(discretize(make_dgp(spec), x, z), phi0_on_grid(spec, x))
     assert np.all(np.diff(r.values) > 0)
+
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def ndtri_battery() -> np.ndarray:
+    """Inputs that reach every branch of the Cephes ndtri: uniform draws,
+    normal cdf values, log-uniform tail values down to 1e-300, the lattice
+    midpoints, equally spaced points and Gauss-Legendre nodes (every size to
+    100, then a stride and the sizes the package runs), these three clipped
+    as f_x_given_z clips them, the branch points exp(-2) and 1 - exp(-2) with
+    their float neighbours, and the endpoints."""
+    rng = np.random.default_rng(20260101)
+    e2 = math.exp(-2.0)
+    sizes = [*range(2, 101), *range(101, 1002, 50), 128, 256, 512, 1001]
+    nodes = np.concatenate([
+        (np.arange(512) + 0.5) / 512,
+        np.linspace(0.0, 1.0, 1001),
+        *(0.5 * (leggauss(n)[0] + 1.0) for n in sizes),
+    ])
+    return np.concatenate([
+        rng.uniform(size=10**6),
+        scipy.special.ndtr(rng.standard_normal(10**6)),
+        scipy.special.ndtr(3.0 * rng.standard_normal(10**6)),
+        10.0 ** rng.uniform(-300.0, 0.0, 10**5),
+        np.clip(nodes, 1e-12, 1.0 - 1e-12),
+        [np.nextafter(e2, 0.0), e2, np.nextafter(e2, 1.0)],
+        [np.nextafter(1.0 - e2, 0.0), 1.0 - e2, np.nextafter(1.0 - e2, 1.0)],
+        [0.0, 1.0, 0.5, 1e-300, 5e-324],
+    ])
+
+
+class TestNormalKernels:
+    def test_ndtri_matches_scipy_byte_for_byte(self, ndtri_battery):
+        p = ndtri_battery
+        assert _same_bytes(ndtri(p), scipy.special.ndtri(p))
+
+    def test_the_battery_runs_every_branch(self, ndtri_battery):
+        p = ndtri_battery
+        y = np.minimum(p, 1.0 - p)
+        tail = y[(y > 0.0) & (y <= math.exp(-2.0))]
+        x = np.sqrt(-2.0 * np.log(tail))
+        assert np.any(y > math.exp(-2.0))  # the centre rational
+        assert np.any(x < 8.0) and np.any(x >= 8.0)  # both tail rationals
+        assert np.any(p > 1.0 - math.exp(-2.0)) and np.any(p < math.exp(-2.0))
+        assert np.any(p == 0.0) and np.any(p == 1.0)
+
+    def test_ndtri_endpoints_and_domain(self):
+        got = ndtri(np.array([0.0, 1.0, 0.5, -0.1, 1.1, np.nan]))
+        assert got[0] == -np.inf and got[1] == np.inf and got[2] == 0.0
+        assert np.all(np.isnan(got[3:]))
+        assert _same_bytes(ndtri(0.3), scipy.special.ndtri(0.3))
+
+    def test_ndtr_gives_scipys_bytes(self):
+        rng = np.random.default_rng(7)
+        v = np.concatenate([rng.standard_normal(10**6), 3.0 * rng.standard_normal(10**6)])
+        v = np.concatenate([v, [-40.0, -38.0, 0.0, 38.0, -np.inf, np.inf]])
+        assert _same_bytes(ndtr(v), scipy.special.ndtr(v))

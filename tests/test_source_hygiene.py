@@ -510,55 +510,100 @@ def test_the_inspection_census_sees_every_spelling():
     assert _inspection_rule_lines(tree) == [3, 4, 5, 6]
 
 
-# scipy.optimize costs about half a second and 24 MB of import in every run
-# for one nnls call; estimators loads scipy's compiled NNLS without it.
-def _scipy_optimize_imports(tree: ast.Module) -> list:
-    """Lines importing scipy.optimize or anything inside it."""
+# scipy.optimize and scipy.special cost about half a second of import in
+# every run for two kernels; the package __init__ loads scipy's compiled NNLS
+# and ndtr from their extension files instead, and imports no scipy module.
+def _scipy_imports(tree: ast.Module) -> list:
+    """Lines importing scipy or anything inside it."""
 
     def inside(module: str) -> bool:
-        return module == "scipy.optimize" or module.startswith("scipy.optimize.")
+        return module == "scipy" or module.startswith("scipy.")
 
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             found += [node.lineno for a in node.names if inside(a.name)]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            module = node.module or ""
-            if inside(module) or (
-                module == "scipy" and any(a.name == "optimize" for a in node.names)
-            ):
+            if inside(node.module or ""):
                 found.append(node.lineno)
     return found
 
 
-def test_no_package_module_imports_scipy_optimize():
+def test_no_package_module_imports_scipy():
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in MODULES
     }
-    assert {name: _scipy_optimize_imports(tree) for name, tree in trees.items()} == {
+    assert {name: _scipy_imports(tree) for name, tree in trees.items()} == {
         name: [] for name in trees
     }
 
 
-def test_the_scipy_optimize_census_sees_every_spelling():
+def test_the_scipy_census_sees_every_spelling():
     tree = ast.parse(
         "import scipy.optimize\nfrom scipy.optimize import nnls\n"
         "from scipy import optimize as opt\nimport scipy.optimize._nnls as n\n"
-        "import scipy.special\nfrom scipy import special\nfrom .optimize import x\n"
+        "import scipy.special\nfrom scipy import special\nimport scipy\n"
+        "from .optimize import x\nimport scipyx\nfind_spec('scipy')\n"
     )
-    assert _scipy_optimize_imports(tree) == [1, 2, 3, 4]
+    assert _scipy_imports(tree) == [1, 2, 3, 4, 5, 6, 7]
 
 
-def test_importing_the_cli_leaves_scipy_optimize_unloaded():
-    probe = "import sys, npivlab.cli; print('scipy.optimize' in sys.modules)"
+def _run_fresh(program: str) -> str:
+    """Run ``program`` in a fresh interpreter that imports npivlab from src,
+    with the BLAS thread counts a user gets by default; return its stdout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SOURCE.parent), os.environ.get("PYTHONPATH")) if p
     ))
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(name, None)
     done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", program], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+SCIPY_MODULES = "import sys\n{}\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
+LOADED_EXTENSIONS = "['scipy.optimize._slsqplib', 'scipy.special._special_ufuncs']"
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    assert _run_fresh(SCIPY_MODULES.format("import npivlab.cli")) == LOADED_EXTENSIONS
+
+
+def test_the_scipy_module_probe_sees_a_package_import():
+    assert "'scipy.special'" in _run_fresh(SCIPY_MODULES.format("import scipy.special"))
+
+
+# scipy's OpenBLAS, which _slsqplib links, keeps a worker thread spinning for
+# about 0.1 s after it loads. Loaded before numpy, the spin overlaps numpy's
+# import; loaded after it, the spin lands in the command that follows.
+SPIN_PROBE = """import time
+{}
+start = time.process_time()
+time.sleep(0.1)
+print(time.process_time() - start)
+"""
+# Importing numpy before npivlab loads _slsqplib after numpy.
+LOAD_AFTER_NUMPY = "import numpy\nimport npivlab"
+SPIN_CPU_LIMIT_S = 0.010
+
+
+def _spin_cpu_s(load: str) -> float:
+    """CPU seconds the process burns in a 100 ms sleep right after ``load``,
+    the least of three fresh interpreters: a busy host can delay the start of
+    the worker thread, and with it the spin, in one run, while a wrong load
+    order spins in every run."""
+    return min(float(_run_fresh(SPIN_PROBE.format(load))) for _ in range(3))
+
+
+def test_importing_the_cli_leaves_no_thread_spinning():
+    assert _spin_cpu_s("import npivlab.cli") <= SPIN_CPU_LIMIT_S
+
+
+@pytest.mark.skipif(os.cpu_count() < 2, reason="one CPU: OpenBLAS starts no worker thread")
+def test_the_spin_probe_sees_nnls_loaded_after_numpy():
+    assert _spin_cpu_s(LOAD_AFTER_NUMPY) > SPIN_CPU_LIMIT_S
 
 
 # Which solvers a table runs is written once, in estimators.solver_suite; the
