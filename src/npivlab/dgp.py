@@ -18,21 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _ndtr as ndtr
-from .function_space import Grid, GridFunction, Memoized
+from .function_space import Grid, GridFunction
 
 PHI0_CHOICES = ("square", "linear", "affine_plus_exp", "custom")
-
-# Evaluation points are clipped away from 0 and 1 before the normal
-# quantile transform; ndtri has poles at the endpoints.
-_CLIP = 1e-12
 
 _LATTICE = 512
 
 # Cephes ndtri (Moshier, Methods and Programs for Mathematical Functions,
-# 1989), the source of scipy.special.ndtri, whose bytes ndtri below keeps.
-# P0/Q0 serve the centre |y - 1/2| <= 1/2 - exp(-2); P1/Q1 and P2/Q2 the tails
-# in 1/x, x = sqrt(-2 log y), below and above x = 8. Each Q leads with Cephes's
+# 1989), the source of scipy.special.ndtri, whose bytes ndtri below keeps on
+# [_CLIP, 1 - _CLIP], away from the poles at 0 and 1. P0/Q0 serve the centre
+# |y - 1/2| <= 1/2 - exp(-2); P1/Q1 the tails in 1/x, x = sqrt(-2 log y) <= 7.43
+# (Cephes's P2/Q2, for x >= 8, are out of reach). Each Q leads with Cephes's
 # implied 1, and 1 * x is exact, so _polevl gives p1evl's bytes too.
+_CLIP = 1e-12
 _EXP_M2 = 0.13533528323661269189
 _S2PI = 2.50662827463100050242
 _P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
@@ -46,12 +44,6 @@ _P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.7162819224642128816
 _Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
        1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
        -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-       2.89247864745380683936e-6, 6.79019408009981274425e-9)
 # libm's log, as Cephes calls it; numpy's np.log differs in the last bit.
 _LOG = np.frompyfunc(math.log, 1, 1)
 
@@ -64,29 +56,22 @@ def _polevl(x, coef):
 
 
 def ndtri(p):
-    """Inverse of the standard normal cdf, bit-equal to scipy.special.ndtri:
-    -inf at 0, +inf at 1, nan outside [0, 1]."""
-    p = np.asarray(p, dtype=float)
+    """Inverse of the standard normal cdf at p clipped to [1e-12, 1 - 1e-12],
+    bit-equal to scipy.special.ndtri on that domain."""
+    p = np.asarray(np.clip(p, _CLIP, 1.0 - _CLIP), dtype=float)
     upper = p > 1.0 - _EXP_M2
     y = np.where(upper, 1.0 - p, p)
-    out = np.full(p.shape, np.nan)
+    out = np.empty(p.shape)
     centre = y > _EXP_M2
     t = y[centre] - 0.5
     t2 = t * t
     out[centre] = (t + t * (t2 * _polevl(t2, _P0) / _polevl(t2, _Q0))) * _S2PI
-    tail = (y > 0.0) & ~centre
+    tail = ~centre
     x = np.sqrt(-2.0 * _LOG(y[tail]).astype(float))
     x0 = x - _LOG(x).astype(float) / x
     z = 1.0 / x
-    x1 = np.where(
-        x < 8.0,
-        z * _polevl(z, _P1) / _polevl(z, _Q1),
-        z * _polevl(z, _P2) / _polevl(z, _Q2),
-    )
-    x = x0 - x1
+    x = x0 - z * _polevl(z, _P1) / _polevl(z, _Q1)
     out[tail] = np.where(upper[tail], x, -x)
-    out[p == 0.0] = -np.inf
-    out[p == 1.0] = np.inf
     return out
 
 
@@ -104,8 +89,8 @@ class DgpSpec:
             raise ValueError(f"unknown phi0 choice {self.phi0!r}")
         if not abs(self.rho) < 1:
             raise ValueError("rho must satisfy |rho| < 1")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be nonnegative")
+        if not 0.0 <= self.noise_sd < math.inf:
+            raise ValueError(f"noise_sd must be a finite number >= 0, got {self.noise_sd!r}")
         if self.phi0_table is not None:
             if self.phi0 != "custom":
                 raise ValueError(f"phi0_table needs phi0 = 'custom', got {self.phi0!r}")
@@ -141,22 +126,18 @@ def phi0_on_grid(spec: DgpSpec, grid: Grid) -> GridFunction:
 
 
 @dataclass(frozen=True)
-class Dgp(Memoized):
+class Dgp:
     spec: DgpSpec
 
     @property
     def sup_fxz(self) -> float:
         """Sup of the joint density over a 512 x 512 lattice of cell midpoints.
 
-        Computed on first read and kept. The copula density grows toward two
-        corners of the square, so the lattice value understates the true
-        supremum; it is the bound at the resolution the package actually
-        evaluates densities on, and is the constant used by the
-        integral-bound checks.
+        The copula density grows toward two corners of the square, so the
+        lattice value understates the true supremum; it is the bound at the
+        resolution the package actually evaluates densities on, and is the
+        constant used by the integral-bound checks.
         """
-        return self.memo("sup_fxz", self._lattice_sup)
-
-    def _lattice_sup(self) -> float:
         # The lattice max sits in a corner cell, so only the four corner
         # midpoints are evaluated. Write a = ndtri(x), b = ndtri(z) and c for
         # the edge rows' |a|. For fixed b the exponent is a concave quadratic
@@ -171,11 +152,8 @@ class Dgp(Memoized):
     def f_x_given_z(self, x, z):
         """Conditional density of X given Z: the copula density itself,
         since both marginals are uniform (f_Z is identically 1)."""
-        x = np.clip(np.asarray(x, dtype=float), _CLIP, 1.0 - _CLIP)
-        z = np.clip(np.asarray(z, dtype=float), _CLIP, 1.0 - _CLIP)
         rho = self.spec.rho
-        a = ndtri(x)
-        b = ndtri(z)
+        a, b = ndtri(x), ndtri(z)
         s2 = 1.0 - rho * rho
         expo = (-rho * rho * (a * a + b * b) + 2.0 * rho * a * b) / (2.0 * s2)
         return np.exp(expo) / math.sqrt(s2)
@@ -194,8 +172,7 @@ class Sample:
 
 
 def make_dgp(spec: DgpSpec) -> Dgp:
-    """Construct the Dgp. No density is evaluated here: the lattice bound
-    `Dgp.sup_fxz` is computed on its first read."""
+    """Construct the Dgp; no density is evaluated until `sup_fxz` is read."""
     return Dgp(spec=spec)
 
 

@@ -25,7 +25,7 @@ class GridMismatchError(ValueError):
 
 
 class Memoized:
-    """Base of the package's immutable objects: grids, operators and DGPs.
+    """Base of the package's grids and operators, which are immutable.
 
     What is derived from one such object alone is computed on first use and
     kept on it, so it lives exactly as long as the object it comes from.

@@ -244,14 +244,14 @@ def run_illposedness_demo(cfg: ExperimentConfig) -> ResultTable:
 
     l2_dist is the measured distance of the perturbed function from the
     truth (equal to epsilon by the unit norm of the sequence), q_infty the
-    population criterion, analytic_bound the closed-form upper bound
-    epsilon^2 bound(n)^2 (f_Z is identically 1), and the _ok columns report
-    shape checks of the perturbed function itself.
+    population criterion, analytic_bound epsilon^2 bound(n)^2 at the density's
+    lattice sup (f_Z is 1; a bound on q_infty that is proved at rho = 0 only),
+    sup_A_psi the max of |A psi_n| over the z nodes (at rho != 0 its
+    continuum limit is sqrt(2n+1), and it exceeds bound(n) on fine grids),
+    and the _ok columns report shape checks of the perturbed function.
     """
     _require(cfg, "illposedness_demo")
     dgp = make_dgp(cfg.dgp)
-    # Evaluated here, so the density lattice is freed before the problem's
-    # arrays are built.
     density_sup = dgp.sup_fxz
     x_grid, _, phi0, A, r = _problem(cfg, dgp)
     shapes = ConstraintSet(DEMO_SHAPES, cfg.inspection_size)

@@ -12,8 +12,8 @@ W_z^(1/2) K W_x^(-1/2), whose singular values are those of the operator
 between the weighted L2 spaces rather than artifacts of node placement.
 
 An operator is immutable, so everything computed from it alone is computed
-once, on first use, and kept on the operator (``memo``, shared with grids and
-DGPs) as shared read-only arrays:
+once, on first use, and kept on the operator (``memo``, shared with grids)
+as shared read-only arrays:
 
   * the weighted matrix M and its truncated SVD;
   * for the Tikhonov solver, the Gram matrix M^T M and the eigenvalue floor

