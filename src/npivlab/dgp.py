@@ -164,7 +164,6 @@ class Sample:
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    seed: int
 
     @property
     def size(self) -> int:
@@ -190,4 +189,4 @@ def sample(dgp: Dgp, m: int, seed: int) -> Sample:
     y = phi0_callable(dgp.spec)(x)
     if dgp.spec.noise_sd > 0:
         y = y + dgp.spec.noise_sd * rng.standard_normal(m)
-    return Sample(x=x, y=y, z=z, seed=seed)
+    return Sample(x=x, y=y, z=z)

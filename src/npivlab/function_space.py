@@ -3,9 +3,10 @@
 Everything downstream works with functions represented by their values on a
 Gauss-Legendre quadrature grid, the one grid rule: functions are integrated,
 resampled from and differentiated on it. The shape constraints live here too:
-a ConstraintSet holds its own equally spaced inspection nodes, gives the rows
-the constrained solve enforces there, and check_shape verifies the same
-differences.
+a ShapeConstraint is its name ("convex", "derivative_sign_3", ...), the one
+place that spelling is parsed into a difference order; a ConstraintSet holds
+its own equally spaced inspection nodes, gives the rows the constrained solve
+enforces there, and check_shape verifies the same differences.
 """
 
 from __future__ import annotations
@@ -178,50 +179,38 @@ def sobolev_norm(f: GridFunction) -> float:
     return float(np.sqrt(np.dot(w, f.values**2) + np.dot(w, df**2)))
 
 
+# The difference order of each constraint name but derivative_sign_<m>'s (m).
+_DIFFERENCE_ORDERS = {"nonnegative": 0, "monotone_nondecreasing": 1, "convex": 2}
+
+
 @dataclass(frozen=True)
 class ShapeConstraint:
     """A sign restriction on a function or one of its difference orders.
 
-    kind is one of "nonnegative", "monotone_nondecreasing", "convex", or
-    "derivative_sign" (with ``order`` m >= 1 selecting the m-th differences;
-    the other kinds take no order). tolerance is the absolute slack allowed
-    in the discrete check.
+    name, the config spelling and verdict key, is "nonnegative",
+    "monotone_nondecreasing", "convex" (differences of order 0, 1 and 2) or
+    "derivative_sign_<m>" (the m-th differences, m >= 1 in plain decimal
+    without leading zeros); difference_order is derived from it. tolerance
+    is the absolute slack allowed in the discrete check.
     """
 
-    kind: str
-    order: int = 0
+    name: str
     tolerance: float = DEFAULT_SHAPE_TOL
+    difference_order: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kinds = ("nonnegative", "monotone_nondecreasing", "convex", "derivative_sign")
-        if self.kind not in kinds:
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if not _is_integer(self.order):
-            raise ValueError(f"order must be an integer, got {self.order!r}")
-        if self.kind == "derivative_sign" and self.order < 1:
-            raise ValueError("derivative_sign requires order >= 1")
-        if self.kind != "derivative_sign" and self.order != 0:
-            raise ValueError(f"{self.kind} takes no order, got {self.order!r}")
+        name, difference_order = self.name, None
+        if isinstance(name, str):
+            m = name.removeprefix("derivative_sign_")
+            canonical = m != name and m.isdecimal() and m == str(int(m)) and m != "0"
+            difference_order = int(m) if canonical else _DIFFERENCE_ORDERS.get(name)
+        if difference_order is None:
+            raise ValueError(f"unknown constraint name {name!r}")
+        object.__setattr__(self, "difference_order", difference_order)
         if not 0 <= self.tolerance < math.inf:
             raise ValueError(
                 f"tolerance must be nonnegative and finite, got {self.tolerance!r}"
             )
-
-    @property
-    def difference_order(self) -> int:
-        return {
-            "nonnegative": 0,
-            "monotone_nondecreasing": 1,
-            "convex": 2,
-            "derivative_sign": self.order,
-        }[self.kind]
-
-    @property
-    def name(self) -> str:
-        """Config spelling and verdict key, e.g. "convex" or "derivative_sign_3"."""
-        if self.kind == "derivative_sign":
-            return f"derivative_sign_{self.order}"
-        return self.kind
 
 
 @dataclass(frozen=True)
@@ -282,7 +271,7 @@ def check_shape(f: GridFunction, shapes: ConstraintSet) -> tuple[bool, ...]:
     f is resampled once onto the set's inspection nodes, and for each
     constraint the m-th order forward differences of those values are formed
     (m = difference_order: 0 for nonnegativity, 1 for monotonicity, 2 for
-    convexity, the requested order for derivative_sign), the differences that
+    convexity, m for derivative_sign_<m>), the differences that
     ``ConstraintSet.rows`` enforces. A constraint holds when every difference
     is >= -tolerance. The differences carry the step factor h^m relative to
     derivative values, which keeps the check's rounding noise far below the

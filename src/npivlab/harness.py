@@ -66,17 +66,6 @@ class ConfigError(ValueError):
     """An experiment configuration violates a validation rule."""
 
 
-def parse_constraint(name: str) -> ShapeConstraint:
-    """Inverse of ShapeConstraint.name: "convex", "derivative_sign_3", ..."""
-    head, _, tail = str(name).rpartition("_")
-    try:
-        if head == "derivative_sign" and tail.isdigit():
-            return ShapeConstraint(head, order=int(tail))
-        return ShapeConstraint(name)
-    except ValueError:
-        raise ConfigError(f"unknown constraint name {name!r}") from None
-
-
 def _flat_fields(obj):
     """(field, value) pairs in declaration order, nested dataclasses inlined."""
     for f in fields(obj):
@@ -140,6 +129,9 @@ class ExperimentConfig:
             if rule and not rule[1](value):
                 raise ConfigError(f"{f.name} must be {rule[0]}, got {value!r}")
         object.__setattr__(self, "constraints", tuple(self.constraints))
+        if self.out is not None and ("\n" in self.out or "\r" in self.out):
+            # the path is echoed into the CSV's "# out = ..." line
+            raise ConfigError(f"out must not contain a line break, got {self.out!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.quadrature_size < 2 or self.z_size < 2:
@@ -172,7 +164,7 @@ class ExperimentConfig:
             raise ConfigError(f"lambdas must be distinct, got {self.lambdas}")
         try:
             # the demo's shapes and the comparison's, on inspection_size nodes
-            for shapes in (DEMO_SHAPES, map(parse_constraint, self.constraints)):
+            for shapes in (DEMO_SHAPES, map(ShapeConstraint, self.constraints)):
                 ConstraintSet(tuple(shapes), self.inspection_size)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -313,7 +305,7 @@ def run_estimator_comparison(cfg: ExperimentConfig) -> ResultTable:
     """
     _require(cfg, "estimator_comparison")
     x_grid, _, phi0, A, r = _problem(cfg, make_dgp(cfg.dgp))
-    cset = ConstraintSet(tuple(map(parse_constraint, cfg.constraints)), cfg.inspection_size)
+    cset = ConstraintSet(tuple(map(ShapeConstraint, cfg.constraints)), cfg.inspection_size)
 
     def shifts():
         # eps A psi_n, keyed by n and its fz-norm

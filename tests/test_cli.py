@@ -153,6 +153,17 @@ def test_non_string_out_exits_2_before_any_computation(
     assert "Traceback" not in captured.err
 
 
+def test_out_flag_with_a_line_break_exits_2_and_writes_nothing(tmp_path, capsys):
+    # run through dataclasses.replace, the --out override meets the same
+    # check as a config file's out
+    out = tmp_path / "a\n# fake = 1\nn,evil\n1,2.csv"
+    assert cli.main(["svd", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "out must not contain a line break" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert cli.main(["svd", "--config", str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err

@@ -186,7 +186,7 @@ class TestConstrained:
         err = l2_norm(GridFunction(x, result.phi_hat.values - phi0.values))
         assert err >= 0.5 * eps
         relaxed = ConstraintSet(
-            tuple(ShapeConstraint(c.kind, c.order, 1e-6) for c in MONOTONE_SET.constraints)
+            tuple(ShapeConstraint(c.name, 1e-6) for c in MONOTONE_SET.constraints)
         )
         assert all(check_shape(result.phi_hat, relaxed))
 
@@ -376,7 +376,7 @@ class TestConstraintSet:
     def test_rejects_inspection_grid_too_small_for_the_order(self):
         ConstraintSet((ShapeConstraint("convex"),), 4)
         with pytest.raises(ValueError, match="derivative_sign_3"):
-            ConstraintSet((ShapeConstraint("derivative_sign", order=3),), 4)
+            ConstraintSet((ShapeConstraint("derivative_sign_3"),), 4)
 
     def test_matrix_applies_differences_of_the_resampled_values(self):
         # resampling a polynomial from a Gauss grid is exact, so the
@@ -431,7 +431,7 @@ class TestSampledPlugin:
     def test_unsupported_z_region_is_flagged_not_fatal(self):
         dgp = make_dgp(DgpSpec(rho=0.5))
         s = sample(dgp, 2_000, seed=3)
-        squeezed = Sample(x=s.x, y=s.y, z=s.z * 0.7, seed=s.seed)
+        squeezed = Sample(x=s.x, y=s.y, z=s.z * 0.7)
         z_grid = make_grid(128)
         A_hat, _ = sampled_plugin(squeezed, make_grid(64), z_grid)
         # flagged nodes are the ones whose fz weight is zeroed
@@ -440,7 +440,7 @@ class TestSampledPlugin:
     def test_identical_instrument_values_are_degenerate(self):
         dgp = make_dgp(DgpSpec(rho=0.5))
         s = sample(dgp, 200, seed=0)
-        flat = Sample(x=s.x, y=s.y, z=np.full_like(s.z, 0.5), seed=s.seed)
+        flat = Sample(x=s.x, y=s.y, z=np.full_like(s.z, 0.5))
         with pytest.raises(DegenerateSampleError):
             sampled_plugin(flat, make_grid(32), make_grid(32))
 
@@ -448,9 +448,7 @@ class TestSampledPlugin:
         dgp = make_dgp(DgpSpec(rho=0.5))
         s = sample(dgp, 200, seed=0)
         rng = np.random.default_rng(1)
-        clustered = Sample(
-            x=s.x, y=s.y, z=0.5 + 1e-9 * rng.standard_normal(200), seed=s.seed
-        )
+        clustered = Sample(x=s.x, y=s.y, z=0.5 + 1e-9 * rng.standard_normal(200))
         with pytest.raises(DegenerateSampleError):
             sampled_plugin(clustered, make_grid(32), make_grid(32))
 
@@ -460,7 +458,7 @@ class TestSampledPlugin:
         # the nodes below the density threshold
         rng = np.random.default_rng(0)
         x = rng.random(2000)
-        banded = Sample(x=x, y=x**2, z=0.4 + 0.1 * rng.random(2000), seed=0)
+        banded = Sample(x=x, y=x**2, z=0.4 + 0.1 * rng.random(2000))
         z_grid = make_grid(32)
         hz = 1.06 * float(np.std(banded.z)) * banded.size**-0.2
         mass = np.exp(-0.5 * ((z_grid.nodes[:, None] - banded.z) / hz) ** 2).sum(axis=1)

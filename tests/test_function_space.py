@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -274,7 +275,7 @@ class TestCheckShape:
         assert check_shape(f, shapes) == (True, False)
 
     def test_derivative_sign_orders(self):
-        third = ConstraintSet((ShapeConstraint("derivative_sign", order=3),))
+        third = ConstraintSet((ShapeConstraint("derivative_sign_3"),))
         cubic = GridFunction(self.grid, self.grid.nodes**3)
         assert check_shape(cubic, third) == (True,)
         flipped = GridFunction(self.grid, -self.grid.nodes**3)
@@ -353,39 +354,85 @@ class TestInspectionNodes:
 
 
 def test_shape_constraint_validation():
-    with pytest.raises(ValueError):
-        ShapeConstraint("concave")
-    with pytest.raises(ValueError):
-        ShapeConstraint("derivative_sign", order=0)
+    # one spelling per constraint, so a config's "# constraints" echo names
+    # the constraint that ran
+    for name in (
+        "concave",
+        "derivative_sign_0",
+        "derivative_sign",
+        "derivative_sign_",
+        "convex_1",
+        3,
+        None,
+        ["convex"],
+        "derivative_sign_03",
+        "derivative_sign_\u0663",  # Arabic-Indic three
+        "derivative_sign_+3",
+        "derivative_sign_-1",
+        "derivative_sign_1.5",
+        "derivative_sign_ 3",
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            ShapeConstraint(name)
+        assert str(excinfo.value) == f"unknown constraint name {name!r}"
     with pytest.raises(ValueError):
         ShapeConstraint("convex", tolerance=-1e-9)
     # a NaN tolerance made check_shape fail increasing functions with a
-    # positive slack, an infinite one passed anything, and a fractional
-    # order died as a TypeError inside np.diff
+    # positive slack, and an infinite one passed anything
     for tol in (np.nan, np.inf):
         with pytest.raises(ValueError, match="tolerance"):
             ShapeConstraint("monotone_nondecreasing", tolerance=tol)
-    for order in (1.5, 2.0, "3", True):
-        with pytest.raises(ValueError, match="order"):
-            ShapeConstraint("derivative_sign", order=order)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_only_derivative_sign_takes_an_order(kind):
-    # an order on another kind named the same constraint yet compared unequal
-    # to it, so the same rows were built and cached twice
-    for order in (3, -1):
-        with pytest.raises(ValueError, match="takes no order"):
-            ShapeConstraint(kind, order=order)
-    assert ShapeConstraint(kind, order=0) == ShapeConstraint(kind)
+    # an order suffix on another kind would be a second name for rows that
+    # the kind's own name already builds
+    for suffix in ("_0", "_1", "_3", "_-1"):
+        with pytest.raises(ValueError, match="unknown constraint name"):
+            ShapeConstraint(kind + suffix)
+    assert ShapeConstraint(kind).difference_order == KINDS.index(kind)
+
+
+def test_a_constraint_is_its_name_and_tolerance():
+    # difference_order is derived from the name and takes no part in comparison
+    init = [f.name for f in dataclasses.fields(ShapeConstraint) if f.init]
+    assert init == ["name", "tolerance"]
+    c = ShapeConstraint("derivative_sign_4", 1e-6)
+    assert (c.name, c.tolerance, c.difference_order) == ("derivative_sign_4", 1e-6, 4)
+    assert c == ShapeConstraint("derivative_sign_4", tolerance=1e-6)
+    assert hash(c) == hash(ShapeConstraint("derivative_sign_4", 1e-6))
+    assert c != ShapeConstraint("derivative_sign_4")
 
 
 def test_difference_orders():
     assert ShapeConstraint("nonnegative").difference_order == 0
     assert ShapeConstraint("monotone_nondecreasing").difference_order == 1
     assert ShapeConstraint("convex").difference_order == 2
-    assert ShapeConstraint("derivative_sign", order=4).difference_order == 4
-    assert ShapeConstraint("derivative_sign", order=np.int64(3)).difference_order == 3
+    assert ShapeConstraint("derivative_sign_1").difference_order == 1
+    assert ShapeConstraint("derivative_sign_4").difference_order == 4
+    assert ShapeConstraint("derivative_sign_10").difference_order == 10
+
+
+@pytest.mark.parametrize(
+    "alias, name",
+    [("derivative_sign_1", "monotone_nondecreasing"), ("derivative_sign_2", "convex")],
+)
+def test_constraint_names_are_only_labels(alias, name):
+    # two names of one difference order give byte-equal rows and the same
+    # verdicts; the sets still differ, since a set keeps the spelling given
+    x = make_grid(48)
+    a = ConstraintSet((ShapeConstraint(alias),), 101)
+    b = ConstraintSet((ShapeConstraint(name),), 101)
+    assert a != b
+    basis = np.linalg.qr(np.vander(x.nodes, 6))[0]
+    assert a.rows(x, basis).tobytes() == b.rows(x, basis).tobytes()
+    verdicts = set()
+    for values in (x.nodes**2, -x.nodes, np.sin(6.0 * x.nodes), -np.exp(x.nodes)):
+        f = GridFunction(x, values)
+        verdicts.add(check_shape(f, a))
+        assert check_shape(f, b) == check_shape(f, a)
+    assert verdicts == {(True,), (False,)}
 
 
 def test_grid_function_validation(gauss128):

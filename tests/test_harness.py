@@ -8,7 +8,7 @@ import pytest
 from npivlab import function_space
 from npivlab.dgp import DgpSpec, make_dgp
 from npivlab.estimators import DegenerateSampleError
-from npivlab.function_space import ConstraintSet, make_grid, sobolev_norm
+from npivlab.function_space import ConstraintSet, ShapeConstraint, make_grid, sobolev_norm
 from npivlab.harness import (
     DEMO_SHAPES,
     ConfigError,
@@ -18,7 +18,6 @@ from npivlab.harness import (
     emit_csv,
     load_config,
     load_csv,
-    parse_constraint,
     run_estimator_comparison,
     run_experiment,
     run_illposedness_demo,
@@ -104,18 +103,48 @@ class TestConfigValidation:
         assert cfg.epsilon == 0.499
 
     def test_derivative_sign_constraints_parse(self):
-        c = parse_constraint("derivative_sign_3")
-        assert c.kind == "derivative_sign" and c.order == 3
-        for bad in ("derivative_sign_0", "derivative_sign", "convex_1", 3):
-            with pytest.raises(ConfigError):
-                parse_constraint(bad)
+        raw = {"experiment": "estimator_comparison", "constraints": ["derivative_sign_3"]}
+        assert config_from_mapping(raw).constraints == ("derivative_sign_3",)
+        # one spelling per order, so the "# constraints" echo names the
+        # constraint that ran
+        for bad in (
+            "derivative_sign_0",
+            "derivative_sign",
+            "convex_1",
+            3,
+            "derivative_sign_03",
+            "derivative_sign_\u0663",
+            "derivative_sign_+3",
+        ):
+            with pytest.raises(ConfigError) as excinfo:
+                config_from_mapping(dict(raw, constraints=["convex", bad]))
+            assert str(excinfo.value) == f"unknown constraint name {bad!r}"
 
     @pytest.mark.parametrize(
         "name",
         ["nonnegative", "monotone_nondecreasing", "convex", "derivative_sign_3"],
     )
     def test_constraint_names_round_trip(self, name):
-        assert parse_constraint(name).name == name
+        # a config's name is the constraint's name, and it sets the difference
+        # order: the comparison's set needs order + 2 nodes, the demo's 4
+        order = {"nonnegative": 0, "monotone_nondecreasing": 1, "convex": 2}.get(name, 3)
+        assert ShapeConstraint(name).name == name
+        assert ShapeConstraint(name).difference_order == order
+        needed = max(order, 2) + 2
+        raw = {"experiment": "svd_report", "constraints": [name]}
+        cfg = config_from_mapping(dict(raw, inspection_size=needed))
+        assert cfg.constraints == (name,)
+        with pytest.raises(ConfigError, match=f"at least {needed}"):
+            config_from_mapping(dict(raw, inspection_size=needed - 1))
+
+    @pytest.mark.parametrize(
+        "out", ["a\n# fake = 1\nn,evil\n1,2.csv", "a\r.csv", "a.csv\r\n"]
+    )
+    def test_out_with_a_line_break_is_rejected(self, out):
+        # the path is echoed into the "# out = ..." metadata line, where a
+        # line break would start a forged metadata line or header row
+        with pytest.raises(ConfigError, match="out must not contain a line break"):
+            config_from_mapping({"experiment": "svd_report", "out": out})
 
     def test_wrong_experiment_for_runner(self):
         with pytest.raises(ConfigError, match="config is for experiment"):
@@ -344,15 +373,20 @@ class TestMontecarlo:
 
         real = harness_mod.sampled_plugin
         cfg = mc_config(replications=3, sample_size=500)
-        degenerate_seeds = {cfg.seed + 1}
+        # replications run in order, so call i is replication i
+        degenerate_calls = {1}
+        calls = []
 
         def flaky(draws, x_grid, z_grid, work=None):
-            if draws.seed in degenerate_seeds:
+            replication = len(calls)
+            calls.append(replication)
+            if replication in degenerate_calls:
                 raise DegenerateSampleError("synthetic degenerate draw")
             return real(draws, x_grid, z_grid, work=work)
 
         monkeypatch.setattr(harness_mod, "sampled_plugin", flaky)
         table = run_montecarlo(cfg)
+        assert calls == [0, 1, 2]
         degenerate = [row for row in table.rows if row[6] == "degenerate"]
         assert {row[1] for row in degenerate} == {1}
         assert all(math.isnan(row[5]) for row in degenerate)
@@ -362,7 +396,8 @@ class TestMontecarlo:
         assert means and all(math.isfinite(row[5]) for row in means)
         # every replication degenerate: the run still returns its table, and
         # the summary rows have nothing to average
-        degenerate_seeds.update(cfg.seed + i for i in range(cfg.replications))
+        calls.clear()
+        degenerate_calls.update(range(cfg.replications))
         table = run_montecarlo(cfg)
         replications = [row for row in table.rows if row[0] == "replication"]
         assert len(replications) == 6
@@ -745,7 +780,7 @@ class TestConfigLoading:
         self, size, names, failing
     ):
         raw = {"experiment": "svd_report", "inspection_size": size, "constraints": names}
-        failing = failing or tuple(map(parse_constraint, names))
+        failing = failing or tuple(map(ShapeConstraint, names))
         with pytest.raises(ValueError) as want:
             ConstraintSet(failing, size)
         with pytest.raises(ConfigError) as got:

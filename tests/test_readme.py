@@ -1,10 +1,16 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its config example
+is a valid config."""
 
+import dataclasses
+import json
 import re
 from pathlib import Path
 
+from npivlab.harness import ExperimentConfig, config_from_mapping
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
+JSON_BLOCK = re.compile(r"^```json\n(.*?)^```", re.M | re.S)
 
 
 def test_library_use_example_runs(capsys):
@@ -13,3 +19,15 @@ def test_library_use_example_runs(capsys):
     exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme_example"})
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 2
+
+
+def test_config_example_is_a_valid_config():
+    # it spells out every top-level field, so a field renamed, added or
+    # removed without the README breaks it
+    blocks = JSON_BLOCK.findall(README.read_text(encoding="utf-8"))
+    assert len(blocks) == 1
+    raw = json.loads(blocks[0])
+    assert set(raw) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    cfg = config_from_mapping(raw)
+    assert cfg.experiment == raw["experiment"]
+    assert cfg.constraints == tuple(raw["constraints"])
