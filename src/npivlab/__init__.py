@@ -13,6 +13,15 @@ from importlib.util import find_spec, module_from_spec, spec_from_file_location
 
 __version__ = "0.1.0"
 
+# An idle OpenBLAS worker busy-waits for 2^28 TSC cycles (about 0.13 s at
+# 2.1 GHz) before it sleeps, burning a core after every burst of BLAS calls.
+# 2^26 (about 32 ms) still bridges the sub-millisecond gaps inside a burst;
+# 2^24 made the replication loop slower, as sleeping workers wake slowly.
+# Each OpenBLAS copy reads this once, when it loads: both load below when
+# npivlab is imported before numpy. The setting moves no result (the thread
+# count and the work split stay as they are), and a user's own value wins.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "26")
+
 
 def _load_compiled(subpackage: str, name: str):
     """Load one of scipy's compiled extension files without importing the
@@ -20,11 +29,12 @@ def _load_compiled(subpackage: str, name: str):
     half a second of import between them).
 
     Load order matters. scipy/optimize/_slsqplib links scipy's own OpenBLAS,
-    whose worker thread spins for about 0.1 s after the library loads, and
-    the extension's init imports numpy. Loaded first, before anything has
-    imported numpy, that spin runs while numpy imports instead of during the
-    command that follows. The package __init__ runs before every submodule,
-    so this holds for any fresh import of npivlab.
+    whose worker thread spins idle for a while after the library loads
+    (about 32 ms under the OPENBLAS_THREAD_TIMEOUT set above), and the
+    extension's init imports numpy. Loaded first, before anything has
+    imported numpy, that spin overlaps numpy's import instead of the command
+    that follows. The package __init__ runs before every submodule, so this
+    holds for any fresh import of npivlab.
     """
     qualified = f"scipy.{subpackage}.{name}"
     spec = find_spec("scipy")

@@ -134,11 +134,23 @@ def resample_matrix(src: Grid, targets: np.ndarray) -> np.ndarray:
     )
 
 
+_CHUNK_ROWS = 64
+
+
+def _row_chunks(rows: int):
+    """Slices covering range(rows) in ascending blocks of _CHUNK_ROWS."""
+    return (slice(i, min(i + _CHUNK_ROWS, rows)) for i in range(0, rows, _CHUNK_ROWS))
+
+
 def _build_resample_matrix(src: Grid, targets: np.ndarray) -> np.ndarray:
     bw = _barycentric_weights(src)
     diff = targets[:, None] - src.nodes[None, :]
-    # Take the exact-node mask before diff is overwritten by the terms.
-    exact_rows, exact_cols = np.nonzero(np.abs(diff) < 1e-14)
+    # Take the exact-node mask before diff is overwritten by the terms, a
+    # chunk of rows at a time, so no full-size temporary is formed.
+    exact = np.empty(diff.shape, dtype=bool)
+    for chunk in _row_chunks(len(diff)):
+        np.less(np.abs(diff[chunk]), 1e-14, out=exact[chunk])
+    exact_rows, exact_cols = np.nonzero(exact)
     with np.errstate(divide="ignore", invalid="ignore"):
         R = np.divide(bw, diff, out=diff)
         R /= R.sum(axis=1, keepdims=True)
@@ -181,6 +193,8 @@ def sobolev_norm(f: GridFunction) -> float:
 
 # The difference order of each constraint name but derivative_sign_<m>'s (m).
 _DIFFERENCE_ORDERS = {"nonnegative": 0, "monotone_nondecreasing": 1, "convex": 2}
+# An order m needs m + 2 inspection nodes: past 18 digits, 8 EB of them.
+_MAX_ORDER_DIGITS = 18
 
 
 @dataclass(frozen=True)
@@ -190,8 +204,8 @@ class ShapeConstraint:
     name, the config spelling and verdict key, is "nonnegative",
     "monotone_nondecreasing", "convex" (differences of order 0, 1 and 2) or
     "derivative_sign_<m>" (the m-th differences, m >= 1 in plain decimal
-    without leading zeros); difference_order is derived from it. tolerance
-    is the absolute slack allowed in the discrete check.
+    without leading zeros, at most 18 digits); difference_order is derived
+    from it. tolerance is the absolute slack allowed in the discrete check.
     """
 
     name: str
@@ -202,7 +216,12 @@ class ShapeConstraint:
         name, difference_order = self.name, None
         if isinstance(name, str):
             m = name.removeprefix("derivative_sign_")
-            canonical = m != name and m.isdecimal() and m == str(int(m)) and m != "0"
+            canonical = m != name and m.isascii() and m.isdigit() and m[0] != "0"
+            if canonical and len(m) > _MAX_ORDER_DIGITS:
+                raise ValueError(
+                    f"constraint {name!r} has a difference order of more than "
+                    f"{_MAX_ORDER_DIGITS} digits, which no inspection grid can hold"
+                )
             difference_order = int(m) if canonical else _DIFFERENCE_ORDERS.get(name)
         if difference_order is None:
             raise ValueError(f"unknown constraint name {name!r}")
@@ -249,20 +268,32 @@ class ConstraintSet:
 
         basis holds, as columns, directions in the weighted coordinates
         u = sqrt(w_x) phi on x_grid. Each constraint's block is built and
-        reduced on its own, so no full inspection-by-x_grid stack is formed.
+        reduced on its own, straight into its rows of the result, so no full
+        inspection-by-x_grid stack is formed.
         """
         R = resample_matrix(x_grid, self.nodes)
         sw = np.sqrt(x_grid.weights)
-
-        def block(m):
-            # divided in place (R itself is shared and read-only); D dies on
-            # return, so no two full-size blocks are alive at once
-            D = np.diff(R, n=m, axis=0) if m > 0 else R.copy()
+        n = len(R)
+        orders = [c.difference_order for c in self.constraints]
+        out = np.empty((sum(n - m for m in orders), basis.shape[1]))
+        # R itself is shared and read-only, so each block is built in one
+        # scratch copy of it: the m-th differences are taken in place (row i
+        # becomes row i + 1 minus row i, ascending, a chunk of rows at a time,
+        # the row after a chunk still unwritten), then divided in place, so
+        # no second full-size block is ever alive.
+        scratch = np.empty_like(R)
+        start = 0
+        for m in orders:
+            np.copyto(scratch, R)
+            for rows in range(n - 1, n - 1 - m, -1):
+                for chunk in _row_chunks(rows):
+                    below = slice(chunk.start + 1, chunk.stop + 1)
+                    np.subtract(scratch[below], scratch[chunk], out=scratch[chunk])
+            D = scratch[: n - m]
             D /= sw
-            return D @ basis
-
-        blocks = [block(c.difference_order) for c in self.constraints]
-        return np.vstack(blocks) if blocks else np.zeros((0, basis.shape[1]))
+            np.matmul(D, basis, out=out[start : start + n - m])
+            start += n - m
+        return out
 
 
 def check_shape(f: GridFunction, shapes: ConstraintSet) -> tuple[bool, ...]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -215,3 +216,59 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     assert proc.returncode == 0
     assert out.exists()
     assert "wrote" in proc.stdout
+
+
+# The demo and compare workloads of perfbench/run.py, whose table digests
+# perfbench/reference.json records.
+WORKLOAD_RUNS = {
+    "demo": {
+        "experiment": "illposedness_demo",
+        "quadrature_size": 128,
+        "inspection_size": 1001,
+        "family": "monotone",
+        "n_max": 100,
+        "epsilon": 0.1,
+    },
+    "compare": {
+        "experiment": "estimator_comparison",
+        "quadrature_size": 128,
+        "z_size": 128,
+        "lambdas": [1e-4],
+        "constraints": ["monotone_nondecreasing"],
+    },
+}
+RUN_WORKLOADS = """import json, os, sys
+import npivlab.cli
+for command, config, out in json.loads(sys.argv[1]):
+    assert npivlab.cli.main([command, "--config", config, "--out", out]) == 0
+print(os.environ["OPENBLAS_THREAD_TIMEOUT"])
+"""
+
+
+def test_workload_tables_hold_their_digests_with_the_blas_spin_timeout(tmp_path):
+    # pytest imports numpy before npivlab, so the in-process digest tests run
+    # under OpenBLAS's own spin timeout; this child imports npivlab first, as
+    # the console script does, at the default thread count
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_THREAD_TIMEOUT"):
+        env.pop(name, None)
+    runs = []
+    for name, config in WORKLOAD_RUNS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+        runs.append([name, str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}.csv")])
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_WORKLOADS, json.dumps(runs)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "26"
+    reference = Path(src).parent / "perfbench" / "reference.json"
+    recorded = json.loads(reference.read_text(encoding="utf-8"))["digests"]
+    for name in WORKLOAD_RUNS:
+        with open(tmp_path / f"{name}.csv", "rb") as handle:
+            data = b"".join(line for line in handle if not line.startswith(b"#"))
+        assert hashlib.sha256(data).hexdigest() == recorded[name], name

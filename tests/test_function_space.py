@@ -384,6 +384,20 @@ def test_shape_constraint_validation():
             ShapeConstraint("monotone_nondecreasing", tolerance=tol)
 
 
+def test_an_order_too_long_for_any_grid_names_its_constraint():
+    # int() of a decimal of more than 4,300 digits raised Python's own
+    # "Exceeds the limit (4300 digits) for integer string conversion"
+    assert ShapeConstraint("derivative_sign_" + "9" * 18).difference_order == 10**18 - 1
+    for digits in (19, 4301, 10_000):
+        name = "derivative_sign_" + "9" * digits
+        with pytest.raises(ValueError) as excinfo:
+            ShapeConstraint(name)
+        assert str(excinfo.value) == (
+            f"constraint {name!r} has a difference order of more than 18 digits, "
+            "which no inspection grid can hold"
+        )
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_only_derivative_sign_takes_an_order(kind):
     # an order suffix on another kind would be a second name for rows that

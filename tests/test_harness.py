@@ -120,6 +120,16 @@ class TestConfigValidation:
                 config_from_mapping(dict(raw, constraints=["convex", bad]))
             assert str(excinfo.value) == f"unknown constraint name {bad!r}"
 
+    def test_an_order_too_long_for_any_grid_is_a_config_error_naming_it(self):
+        name = "derivative_sign_1" + "0" * 4300
+        raw = {"experiment": "estimator_comparison", "constraints": ["convex", name]}
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_mapping(raw)
+        assert str(excinfo.value) == (
+            f"constraint {name!r} has a difference order of more than 18 digits, "
+            "which no inspection grid can hold"
+        )
+
     @pytest.mark.parametrize(
         "name",
         ["nonnegative", "monotone_nondecreasing", "convex", "derivative_sign_3"],

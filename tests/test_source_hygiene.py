@@ -551,11 +551,12 @@ def test_the_scipy_census_sees_every_spelling():
 
 def _run_fresh(program: str) -> str:
     """Run ``program`` in a fresh interpreter that imports npivlab from src,
-    with the BLAS thread counts a user gets by default; return its stdout."""
+    with the BLAS thread counts and spin timeout a user gets by default;
+    return its stdout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SOURCE.parent), os.environ.get("PYTHONPATH")) if p
     ))
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_THREAD_TIMEOUT"):
         env.pop(name, None)
     done = subprocess.run(
         [sys.executable, "-c", program], env=env, capture_output=True, text=True, check=True
@@ -575,9 +576,11 @@ def test_the_scipy_module_probe_sees_a_package_import():
     assert "'scipy.special'" in _run_fresh(SCIPY_MODULES.format("import scipy.special"))
 
 
-# scipy's OpenBLAS, which _slsqplib links, keeps a worker thread spinning for
-# about 0.1 s after it loads. Loaded before numpy, the spin overlaps numpy's
-# import; loaded after it, the spin lands in the command that follows.
+# scipy's OpenBLAS, which _slsqplib links, keeps a worker thread spinning
+# after it loads, for about 32 ms under npivlab's OPENBLAS_THREAD_TIMEOUT of
+# 26 (2^26 cycles; OpenBLAS's own default of 28 spins about 0.13 s). Loaded
+# before numpy, the spin overlaps numpy's import; loaded after it, the spin
+# lands in the command that follows.
 SPIN_PROBE = """import time
 {}
 start = time.process_time()
@@ -604,6 +607,30 @@ def test_importing_the_cli_leaves_no_thread_spinning():
 @pytest.mark.skipif(os.cpu_count() < 2, reason="one CPU: OpenBLAS starts no worker thread")
 def test_the_spin_probe_sees_nnls_loaded_after_numpy():
     assert _spin_cpu_s(LOAD_AFTER_NUMPY) > SPIN_CPU_LIMIT_S
+
+
+TIMEOUT_PROBE = "import os\n{}\nprint(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+
+
+def test_importing_npivlab_sets_the_blas_spin_timeout():
+    assert _run_fresh(TIMEOUT_PROBE.format("import npivlab")) == "26"
+
+
+def test_a_users_blas_spin_timeout_is_kept():
+    preset = "os.environ['OPENBLAS_THREAD_TIMEOUT'] = '28'\nimport npivlab"
+    assert _run_fresh(TIMEOUT_PROBE.format(preset)) == "28"
+
+
+# A product big enough to wake numpy's BLAS workers; at OpenBLAS's default
+# timeout they then spin through the whole 100 ms sleep, at npivlab's for
+# about a third of it.
+AFTER_A_PRODUCT = "import npivlab.cli\nimport numpy as np\nnp.ones((512, 512)) @ np.ones((512, 512))"
+IDLE_WORKER_CPU_LIMIT_S = 0.050
+
+
+@pytest.mark.skipif(os.cpu_count() < 2, reason="one CPU: OpenBLAS starts no worker thread")
+def test_idle_blas_workers_go_to_sleep_within_the_timeout():
+    assert _spin_cpu_s(AFTER_A_PRODUCT) <= IDLE_WORKER_CPU_LIMIT_S
 
 
 # Which solvers a table runs is written once, in estimators.solver_suite; the
