@@ -20,7 +20,17 @@ import numpy as np
 from . import _ndtr as ndtr
 from .function_space import Grid, GridFunction
 
-PHI0_CHOICES = ("square", "linear", "affine_plus_exp", "custom")
+# Package code differentiates, resamples and shape-checks phi0 through its
+# polynomial interpolant on the Gauss grid, which is exact or spectrally
+# accurate only for an analytic function; so phi0 is one of these closed forms.
+_PHI0 = {
+    "square": lambda x: np.asarray(x, dtype=float) ** 2,
+    "linear": lambda x: np.asarray(x, dtype=float),
+    "affine_plus_exp": lambda x: np.asarray(x, dtype=float) + 0.25 * np.expm1(
+        np.asarray(x, dtype=float)
+    ),
+}
+PHI0_CHOICES = tuple(_PHI0)
 
 _LATTICE = 512
 
@@ -82,7 +92,6 @@ class DgpSpec:
     phi0: str = "square"
     rho: float = 0.5
     noise_sd: float = 0.0
-    phi0_table: tuple | None = None
 
     def __post_init__(self):
         if self.phi0 not in PHI0_CHOICES:
@@ -91,34 +100,11 @@ class DgpSpec:
             raise ValueError("rho must satisfy |rho| < 1")
         if not 0.0 <= self.noise_sd < math.inf:
             raise ValueError(f"noise_sd must be a finite number >= 0, got {self.noise_sd!r}")
-        if self.phi0_table is not None:
-            if self.phi0 != "custom":
-                raise ValueError(f"phi0_table needs phi0 = 'custom', got {self.phi0!r}")
-            try:
-                table = tuple((float(x), float(y)) for x, y in self.phi0_table)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"phi0_table must hold (x, y) pairs: {exc}") from None
-            if not all(math.isfinite(v) for pair in table for v in pair):
-                raise ValueError("phi0_table values must be finite")
-            if any(b[0] <= a[0] for a, b in zip(table, table[1:])):
-                raise ValueError("phi0_table x values must be strictly increasing")
-            object.__setattr__(self, "phi0_table", table)
-        if self.phi0 == "custom" and len(self.phi0_table or ()) < 2:
-            raise ValueError("custom phi0 needs a phi0_table of at least two pairs")
 
 
 def phi0_callable(spec: DgpSpec):
     """Return phi0 as a vectorized callable on [0, 1]."""
-    if spec.phi0 == "square":
-        return lambda x: np.asarray(x, dtype=float) ** 2
-    if spec.phi0 == "linear":
-        return lambda x: np.asarray(x, dtype=float)
-    if spec.phi0 == "affine_plus_exp":
-        return lambda x: np.asarray(x, dtype=float) + 0.25 * np.expm1(
-            np.asarray(x, dtype=float)
-        )
-    xs, ys = np.array(spec.phi0_table).T
-    return lambda x: np.interp(np.asarray(x, dtype=float), xs, ys)
+    return _PHI0[spec.phi0]
 
 
 def phi0_on_grid(spec: DgpSpec, grid: Grid) -> GridFunction:

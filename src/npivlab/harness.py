@@ -86,8 +86,17 @@ _TYPE_RULES = {
     "int": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
     "float": ("a finite number", lambda v: _is_number(v) and math.isfinite(v)),
     "tuple": ("a list", lambda v: isinstance(v, (list, tuple))),
+    "str": ("a string", lambda v: isinstance(v, str)),
     "str | None": ("a string", lambda v: v is None or isinstance(v, str)),
 }
+
+
+def _check_types(pairs) -> None:
+    """Raise ConfigError on the first (field, value) its annotation rejects."""
+    for f, value in pairs:
+        rule = _TYPE_RULES.get(f.type)
+        if rule and not rule[1](value):
+            raise ConfigError(f"{f.name} must be {rule[0]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -115,6 +124,7 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        _check_types(_flat_fields(self))
         if self.experiment not in _RUNNERS:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; "
@@ -124,10 +134,6 @@ class ExperimentConfig:
             raise ConfigError("dgp must be a DgpSpec")
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        for f, value in _flat_fields(self):
-            rule = _TYPE_RULES.get(f.type)
-            if rule and not rule[1](value):
-                raise ConfigError(f"{f.name} must be {rule[0]}, got {value!r}")
         object.__setattr__(self, "constraints", tuple(self.constraints))
         if self.out is not None and ("\n" in self.out or "\r" in self.out):
             # the path is echoed into the CSV's "# out = ..." line
@@ -192,13 +198,10 @@ class ResultTable:
 
 
 def _echo(value):
-    """Metadata form of a field: tuples join with ';', pairs in them with ':'."""
+    """Metadata form of a field: tuples join with ';'."""
     if not isinstance(value, tuple):
         return "" if value is None else value
-    return ";".join(
-        ":".join(map(_format_cell, v)) if isinstance(v, tuple) else _format_cell(v)
-        for v in value
-    )
+    return ";".join(map(_format_cell, value))
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
@@ -497,10 +500,11 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
     if dgp_raw is None:
         dgp = DgpSpec()
     elif isinstance(dgp_raw, dict):
-        dgp_keys = {f.name for f in fields(DgpSpec)}
+        dgp_fields = {f.name: f for f in fields(DgpSpec)}
         for key in dgp_raw:
-            if key not in dgp_keys:
+            if key not in dgp_fields:
                 raise ConfigError(f"unknown dgp config key {key!r}")
+        _check_types((dgp_fields[key], value) for key, value in dgp_raw.items())
         try:
             dgp = DgpSpec(**dgp_raw)
         except (TypeError, ValueError) as exc:

@@ -112,6 +112,24 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys):
     assert "epsilon must be a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"dgp": {"rho": "0.5"}}, "rho must be a finite number, got '0.5'"),
+        ({"dgp": {"noise_sd": "1"}}, "noise_sd must be a finite number, got '1'"),
+        ({"experiment": ["demo"]}, "experiment must be a string, got ['demo']"),
+    ],
+    ids=["rho", "noise_sd", "experiment"],
+)
+def test_config_value_of_the_wrong_type_exits_2_naming_its_field(
+    tmp_path, capsys, raw, message
+):
+    cfg_path = tmp_path / "typed.json"
+    cfg_path.write_text(json.dumps({"experiment": "illposedness_demo", **raw}))
+    assert cli.main(["demo", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_inspection_grid_too_small_for_a_constraint_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "small.json"
     cfg_path.write_text(

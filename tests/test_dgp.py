@@ -7,6 +7,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.stats import multivariate_normal, norm
 
 from npivlab.dgp import (
+    PHI0_CHOICES,
     Dgp,
     DgpSpec,
     make_dgp,
@@ -16,7 +17,8 @@ from npivlab.dgp import (
     phi0_on_grid,
     sample,
 )
-from npivlab.function_space import make_grid
+from npivlab.function_space import ConstraintSet, check_shape, make_grid, sobolev_norm
+from npivlab.harness import DEMO_SHAPES
 from npivlab.operators import apply, discretize, q_infinity
 
 
@@ -135,18 +137,6 @@ def test_spec_validation():
             DgpSpec(noise_sd=bad)
     with pytest.raises(ValueError):
         DgpSpec(phi0="cubic")
-    with pytest.raises(ValueError):
-        DgpSpec(phi0="custom")
-    with pytest.raises(ValueError):
-        DgpSpec(phi0="custom", phi0_table=((0.5, 1.0), (0.2, 0.0)))
-
-
-def test_phi0_table_is_stored_as_float_pairs():
-    spec = DgpSpec(phi0="custom", phi0_table=[[0, 1], ["0.5", 2]])
-    assert spec.phi0_table == ((0.0, 1.0), (0.5, 2.0))
-    assert all(type(v) is float for pair in spec.phi0_table for v in pair)
-    with pytest.raises(ValueError, match="pairs"):
-        DgpSpec(phi0="custom", phi0_table=[[0, 1, 2], [1, 2]])
 
 
 def test_phi0_choices():
@@ -158,13 +148,27 @@ def test_phi0_choices():
     assert np.all(np.diff(affine) > 0)
 
 
-def test_custom_phi0_interpolates_table():
-    table = ((0.0, 0.0), (0.5, 2.0), (1.0, 3.0))
-    spec = DgpSpec(phi0="custom", phi0_table=table)
-    x = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    np.testing.assert_allclose(
-        phi0_callable(spec)(x), np.interp(x, [0.0, 0.5, 1.0], [0.0, 2.0, 3.0])
-    )
+# sqrt(int_0^1 phi0^2 + int_0^1 phi0'^2) for each choice. For affine_plus_exp,
+# phi0 = (x - 1/4) + e^x / 4 and phi0' = 1 + e^x / 4, so the two integrals
+# are 7/48 + (5 - e)/8 + (e^2 - 1)/32 and 1 + (e - 1)/2 + (e^2 - 1)/32.
+_E = math.e
+SOBOLEV_NORMS = {
+    "square": math.sqrt(1 / 5 + 4 / 3),
+    "linear": math.sqrt(1 / 3 + 1),
+    "affine_plus_exp": math.sqrt(
+        7 / 48 + (5 - _E) / 8 + (_E**2 - 1) / 32 + 1 + (_E - 1) / 2 + (_E**2 - 1) / 32
+    ),
+}
+
+
+@pytest.mark.parametrize("size", [64, 128, 512])
+@pytest.mark.parametrize("choice", PHI0_CHOICES)
+def test_every_phi0_is_monotone_nonnegative_convex_and_normed_exactly(choice, size):
+    # shape verdicts and Sobolev norms read phi0 through its polynomial
+    # interpolant on the grid, which is this accurate only for an analytic phi0
+    phi0 = phi0_on_grid(DgpSpec(phi0=choice), make_grid(size))
+    assert check_shape(phi0, ConstraintSet(DEMO_SHAPES)) == (True, True, True)
+    assert abs(sobolev_norm(phi0) - SOBOLEV_NORMS[choice]) <= 1e-13
 
 
 def test_phi0_on_grid():

@@ -513,7 +513,6 @@ class TestCsv:
             "phi0",
             "rho",
             "noise_sd",
-            "phi0_table",
             "quadrature_size",
             "inspection_size",
             "z_size",
@@ -604,11 +603,9 @@ class TestCsv:
         expected = (
             b"# artifact_version = 0.1.0\r\n"
             b"# experiment = estimator_comparison\r\n"
-            b"# phi0 = custom\r\n"
+            b"# phi0 = affine_plus_exp\r\n"
             b"# rho = 0.29999999999999999\r\n"
             b"# noise_sd = 0.25\r\n"
-            b"# phi0_table = 0:0.5;0.40000000000000002:0.10000000000000001;"
-            b"1:0.33333333333333331\r\n"
             b"# quadrature_size = 16\r\n"
             b"# inspection_size = 64\r\n"
             b"# z_size = 12\r\n"
@@ -626,10 +623,9 @@ class TestCsv:
         raw = {
             "experiment": "estimator_comparison",
             "dgp": {
-                "phi0": "custom",
+                "phi0": "affine_plus_exp",
                 "rho": 0.3,
                 "noise_sd": 0.25,
-                "phi0_table": [[0, 0.5], [0.4, 0.1], [1, 1.0 / 3.0]],
             },
             "quadrature_size": 16,
             "inspection_size": 64,
@@ -665,14 +661,6 @@ class TestConfigLoading:
         assert cfg.dgp.rho == 0.3
         assert cfg.lambdas == (1e-4, 1e-2)
         assert cfg.constraints == ("monotone_nondecreasing", "derivative_sign_2")
-
-    def test_custom_phi0_table_from_mapping(self):
-        raw = {
-            "experiment": "illposedness_demo",
-            "dgp": {"phi0": "custom", "phi0_table": [[0.0, 0.0], [1.0, 2.0]]},
-        }
-        cfg = config_from_mapping(raw)
-        assert cfg.dgp.phi0_table == ((0.0, 0.0), (1.0, 2.0))
 
     def test_unknown_keys_rejected_at_both_levels(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -726,30 +714,18 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=fragment):
             config_from_mapping(raw)
 
-    @pytest.mark.parametrize(
-        "table",
-        [
-            [[0, 1, 2], [1, 2]],
-            [["a", 1], [1, 2]],
-            5,
-            [[0, 1], [1, float("nan")]],
-        ],
-    )
-    def test_malformed_phi0_table_rejected(self, table):
-        raw = {
-            "experiment": "illposedness_demo",
-            "dgp": {"phi0": "custom", "phi0_table": table},
-        }
-        with pytest.raises(ConfigError, match="phi0_table"):
-            config_from_mapping(raw)
-
-    def test_phi0_table_needs_custom_phi0(self):
+    def test_custom_phi0_and_phi0_table_rejected(self):
+        # phi0 is one of the analytic closed forms; an interpolated table is not
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_mapping({"experiment": "illposedness_demo", "dgp": {"phi0": "custom"}})
+        assert str(excinfo.value) == "invalid dgp config: unknown phi0 choice 'custom'"
         raw = {
             "experiment": "illposedness_demo",
             "dgp": {"phi0": "square", "phi0_table": [[0, 0], [1, 1]]},
         }
-        with pytest.raises(ConfigError, match="phi0_table needs phi0 = 'custom'"):
+        with pytest.raises(ConfigError) as excinfo:
             config_from_mapping(raw)
+        assert str(excinfo.value) == "unknown dgp config key 'phi0_table'"
 
     @pytest.mark.parametrize(
         "key, value",

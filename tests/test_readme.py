@@ -6,6 +6,7 @@ import json
 import re
 from pathlib import Path
 
+from npivlab.dgp import DgpSpec
 from npivlab.harness import ExperimentConfig, config_from_mapping
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -22,12 +23,13 @@ def test_library_use_example_runs(capsys):
 
 
 def test_config_example_is_a_valid_config():
-    # it spells out every top-level field, so a field renamed, added or
-    # removed without the README breaks it
+    # it spells out every top-level and dgp field, so a field renamed, added
+    # or removed without the README breaks it
     blocks = JSON_BLOCK.findall(README.read_text(encoding="utf-8"))
     assert len(blocks) == 1
     raw = json.loads(blocks[0])
     assert set(raw) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(raw["dgp"]) == {f.name for f in dataclasses.fields(DgpSpec)}
     cfg = config_from_mapping(raw)
     assert cfg.experiment == raw["experiment"]
     assert cfg.constraints == tuple(raw["constraints"])
