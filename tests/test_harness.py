@@ -714,18 +714,41 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=fragment):
             config_from_mapping(raw)
 
-    def test_custom_phi0_and_phi0_table_rejected(self):
+    def test_custom_phi0_rejected(self):
         # phi0 is one of the analytic closed forms; an interpolated table is not
         with pytest.raises(ConfigError) as excinfo:
             config_from_mapping({"experiment": "illposedness_demo", "dgp": {"phi0": "custom"}})
         assert str(excinfo.value) == "invalid dgp config: unknown phi0 choice 'custom'"
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [[0, 1, 2], [1, 2]],
+            [["a", 1], [1, 2]],
+            5,
+            [[0, 1], [1, float("nan")]],
+        ],
+    )
+    def test_malformed_phi0_table_rejected(self, table):
+        # phi0_table is no longer a field, so any table is an unknown key
         raw = {
             "experiment": "illposedness_demo",
-            "dgp": {"phi0": "square", "phi0_table": [[0, 0], [1, 1]]},
+            "dgp": {"phi0": "square", "phi0_table": table},
         }
         with pytest.raises(ConfigError) as excinfo:
             config_from_mapping(raw)
         assert str(excinfo.value) == "unknown dgp config key 'phi0_table'"
+
+    def test_phi0_table_needs_custom_phi0(self):
+        # with no custom phi0 left, a table is rejected whatever phi0 names
+        for phi0 in ("square", "custom"):
+            raw = {
+                "experiment": "illposedness_demo",
+                "dgp": {"phi0": phi0, "phi0_table": [[0, 0], [1, 1]]},
+            }
+            with pytest.raises(ConfigError) as excinfo:
+                config_from_mapping(raw)
+            assert str(excinfo.value) == "unknown dgp config key 'phi0_table'"
 
     @pytest.mark.parametrize(
         "key, value",
