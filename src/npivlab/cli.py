@@ -1,15 +1,15 @@
 """Command line entry point.
 
-Subcommands map one-to-one onto the experiments:
+Commands map one-to-one onto the experiments:
 
   npivlab demo        illposedness_demo
   npivlab svd         svd_report
   npivlab compare     estimator_comparison
   npivlab montecarlo  montecarlo
 
-Each accepts --config PATH (JSON), --out PATH, and --seed N; flags override
-the corresponding config fields. Exit codes: 0 success, 2 configuration
-error, 3 numerical failure.
+One parser takes the command and --config PATH (JSON), --out PATH and
+--seed N in any order; flags override the config. Exit codes: 0 success,
+2 configuration error or a size too large to allocate, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -42,12 +42,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="npivlab",
         description="Ill-posedness experiments for instrumented regression",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, experiment in _SUBCOMMANDS.items():
-        p = sub.add_parser(command, help=f"run the {experiment} experiment")
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="output CSV path (overrides config)")
-        p.add_argument("--seed", type=int, help="seed (overrides config)")
+    commands = "; ".join(f"{c} runs {e}" for c, e in _SUBCOMMANDS.items())
+    parser.add_argument("command", choices=_SUBCOMMANDS, help=commands)
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--out", help="output CSV path (overrides config)")
+    parser.add_argument("--seed", type=int, help="seed (overrides config)")
     return parser
 
 
@@ -81,6 +80,14 @@ def main(argv=None) -> int:
         emit_csv(table, out_path)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy names the array it could not allocate; a bare MemoryError
+        # (a list in leggauss) gets the statement that raised it
+        import traceback  # imported here, so a run that succeeds skips it
+
+        statement = traceback.extract_tb(exc.__traceback__)[-1].line
+        print(f"config error: out of memory: {str(exc) or statement}", file=sys.stderr)
         return 2
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -32,11 +32,10 @@ MAX_INDEX = 200
 
 @dataclass(frozen=True)
 class CounterexampleSpec:
-    """Family tag, sequence index n, and perturbation amplitude epsilon."""
+    """Family tag and sequence index n."""
 
     family: str
     n: int
-    epsilon: float = 0.1
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -45,10 +44,6 @@ class CounterexampleSpec:
             raise ValueError(f"index n must be an integer, got {self.n!r}")
         if self.n < 0:
             raise ValueError("index n must be nonnegative")
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(
-                f"epsilon must be positive and finite, got {self.epsilon!r}"
-            )
 
 
 def _log_power_minus_one(k: int) -> float:
@@ -72,12 +67,6 @@ def psi(spec: CounterexampleSpec, grid: Grid) -> GridFunction:
         log_c = 0.5 * math.log(2.0 * n + 1.0) - 0.5 * _log_power_minus_one(2 * n + 1)
         values = np.exp(log_c + n * np.log1p(x))
     return GridFunction(grid, values)
-
-
-def perturb(base: GridFunction, spec: CounterexampleSpec) -> GridFunction:
-    """Form base + epsilon * psi_n on the base function's grid."""
-    p = psi(spec, base.grid)
-    return GridFunction(base.grid, base.values + spec.epsilon * p.values)
 
 
 def analytic_sup_A_psi_bound(spec: CounterexampleSpec, density_sup: float) -> float:

@@ -32,7 +32,6 @@ from .counterexamples import (
     MAX_INDEX,
     CounterexampleSpec,
     analytic_sup_A_psi_bound,
-    perturb,
     psi,
 )
 from .dgp import DgpSpec, make_dgp, phi0_on_grid, sample
@@ -252,9 +251,9 @@ def run_illposedness_demo(cfg: ExperimentConfig) -> ResultTable:
     shapes = ConstraintSet(DEMO_SHAPES, cfg.inspection_size)
     rows = []
     for n in range(cfg.n_max + 1):
-        cspec = CounterexampleSpec(cfg.family, n, cfg.epsilon)
-        phi_n = perturb(phi0, cspec)
+        cspec = CounterexampleSpec(cfg.family, n)
         direction = psi(cspec, x_grid)
+        phi_n = GridFunction(x_grid, phi0.values + cfg.epsilon * direction.values)
         bound = analytic_sup_A_psi_bound(cspec, density_sup)
         rows.append(
             (
@@ -313,8 +312,7 @@ def run_estimator_comparison(cfg: ExperimentConfig) -> ResultTable:
     def shifts():
         # eps A psi_n, keyed by n and its fz-norm
         for n in [k for k in COMPARISON_N_VALUES if k <= cfg.n_max]:
-            cspec = CounterexampleSpec(cfg.family, n, cfg.epsilon)
-            shift = cfg.epsilon * apply(A, psi(cspec, x_grid)).values
+            shift = cfg.epsilon * apply(A, psi(CounterexampleSpec(cfg.family, n), x_grid)).values
             yield (n, math.sqrt(float(np.dot(A.fz_weights, shift**2)))), shift
 
     rows = [

@@ -82,6 +82,57 @@ def test_seed_flag_overrides_config(tmp_path):
     assert metadata["seed"] == "9"
 
 
+def test_flags_may_come_before_the_command(tmp_path):
+    cfg_path = tmp_path / "mc.json"
+    cfg_path.write_text(
+        json.dumps(
+            {
+                "experiment": "montecarlo",
+                "quadrature_size": 32,
+                "z_size": 32,
+                "sample_size": 200,
+            }
+        )
+    )
+    before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+    config = ["--config", str(cfg_path)]
+    assert cli.main(["--seed", "7", "montecarlo", *config, "--out", str(before)]) == 0
+    assert cli.main(["montecarlo", *config, "--out", str(after), "--seed", "7"]) == 0
+    meta_before, *table_before = load_csv(before)
+    meta_after, *table_after = load_csv(after)
+    assert meta_before["seed"] == "7"
+    for meta in (meta_before, meta_after):
+        del meta["timestamp"], meta["out"]
+    assert meta_before == meta_after
+    assert table_before == table_after
+
+
+# Each size asks for more than the address space, so the allocation fails at
+# once; a size the kernel could grant lazily would commit real memory.
+@pytest.mark.parametrize(
+    "command, raw",
+    [
+        ("montecarlo", {"experiment": "montecarlo", "sample_size": 10**15}),
+        ("demo", {"experiment": "illposedness_demo", "quadrature_size": 10**15}),
+        ("compare", {"experiment": "estimator_comparison", "z_size": 10**15}),
+        ("svd", {"experiment": "svd_report", "inspection_size": 10**15}),
+    ],
+    ids=["kernel-blocks", "leggauss-x", "leggauss-z", "inspection-nodes"],
+)
+def test_size_too_large_to_allocate_exits_2_on_one_line(tmp_path, capsys, command, raw):
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "x.csv"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: out of memory: ")
+    assert captured.err.count("\n") == 1
+    # the line names the allocation: numpy's array shape or the raising statement
+    assert captured.err.split(": ", 2)[2].strip()
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "payload",
     [

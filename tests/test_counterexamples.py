@@ -14,10 +14,9 @@ from npivlab.counterexamples import (
     CounterexampleSpec,
     analytic_sobolev_norm,
     analytic_sup_A_psi_bound,
-    perturb,
     psi,
 )
-from npivlab.dgp import DgpSpec, make_dgp, phi0_on_grid
+from npivlab.dgp import DgpSpec, make_dgp
 from npivlab.function_space import (
     ConstraintSet,
     GridFunction,
@@ -91,18 +90,6 @@ def test_nonneg_family_shape(grid):
         assert check_shape(f, shapes) == (True, True, True)
 
 
-def test_perturb_adds_scaled_member(grid):
-    base = phi0_on_grid(DgpSpec(), grid)
-    spec = CounterexampleSpec(MONOTONE, 12, epsilon=0.25)
-    phi = perturb(base, spec)
-    np.testing.assert_allclose(
-        phi.values,
-        base.values + 0.25 * psi(spec, grid).values,
-        rtol=1e-14,
-    )
-    assert abs(l2_norm(GridFunction(grid, phi.values - base.values)) - 0.25) < 1e-9
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(FAMILIES),
@@ -111,8 +98,7 @@ def test_perturb_adds_scaled_member(grid):
 )
 def test_distance_equals_epsilon(family, n, eps):
     g = make_grid(128)
-    base = GridFunction(g, np.zeros(128))
-    phi = perturb(base, CounterexampleSpec(family, n, eps))
+    phi = GridFunction(g, eps * psi(CounterexampleSpec(family, n), g).values)
     assert abs(l2_norm(phi) - eps) < 1e-9 * (1.0 + eps)
 
 
@@ -201,12 +187,7 @@ def test_spec_validation():
         CounterexampleSpec("bernstein", 3)
     with pytest.raises(ValueError):
         CounterexampleSpec(MONOTONE, -1)
-    with pytest.raises(ValueError):
-        CounterexampleSpec(MONOTONE, 3, epsilon=0.0)
     # n = 2.5 used to give a unit-norm function outside the family
     for n in (2.5, 3.0, True):
         with pytest.raises(ValueError, match="integer"):
             CounterexampleSpec(MONOTONE, n)
-    for eps in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            CounterexampleSpec(MONOTONE, 3, epsilon=eps)

@@ -593,6 +593,12 @@ class TestCsv:
 
         assert emit("one.csv") == emit("two.csv")
 
+    def test_metadata_only_file_has_no_header_row(self, tmp_path):
+        path = tmp_path / "meta.csv"
+        path.write_text("# experiment = svd_report\n# seed = 0\n")
+        with pytest.raises(ValueError, match="no header row"):
+            load_csv(path)
+
     def test_row_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="row length"):
             ResultTable(columns=("a", "b"), rows=[(1,)], metadata={})
@@ -796,6 +802,10 @@ class TestConfigLoading:
             config_from_mapping(raw)
         assert str(got.value) == str(want.value)
 
+    def test_dgp_that_is_not_an_object_rejected(self):
+        with pytest.raises(ConfigError, match="dgp config must be a JSON object"):
+            config_from_mapping({"experiment": "svd_report", "dgp": 3})
+
     def test_load_config_happy_path(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(
@@ -865,6 +875,17 @@ class TestRunInvariantWork:
         assert len(builds) == 1
         # each perturbed function is resampled once for its three shape checks
         assert len(resamples) == 21
+
+    def test_demo_evaluates_each_psi_once_per_row(self, monkeypatch):
+        import npivlab.counterexamples as counterexamples_mod
+        import npivlab.harness as harness_mod
+
+        # both bindings, so an evaluation through either one is counted
+        direct = self._count(monkeypatch, harness_mod, "psi")
+        inner = self._count(monkeypatch, counterexamples_mod, "psi")
+        table = run_illposedness_demo(demo_config(quadrature_size=32, n_max=20))
+        assert len(table.rows) == 21
+        assert len(direct) + len(inner) == 21
 
     def test_montecarlo_builds_one_penalty_form_and_keeps_its_rows(self, monkeypatch):
         import npivlab.estimators as estimators_mod

@@ -149,7 +149,7 @@ def test_residual_vanishes_at_truth(problem):
 
 def test_residual_is_image_of_the_difference(problem):
     x, _, _, A, phi0, r = problem
-    spec = CounterexampleSpec(MONOTONE, 14, epsilon=0.1)
+    spec = CounterexampleSpec(MONOTONE, 14)
     phi_n = GridFunction(x, phi0.values + 0.1 * psi(spec, x).values)
     direct = 0.1 * apply(A, psi(spec, x)).values
     expected = float(np.dot(A.fz_weights, direct**2))
@@ -175,7 +175,7 @@ def test_criterion_closed_form_in_flat_case(independent):
     r = apply(A, phi0)
     eps = 0.1
     for n in (0, 1, 5, 40, 100):
-        spec = CounterexampleSpec(MONOTONE, n, eps)
+        spec = CounterexampleSpec(MONOTONE, n)
         phi_n = GridFunction(x, phi0.values + eps * psi(spec, x).values)
         expected = eps**2 * (2 * n + 1) / (n + 1) ** 2
         assert abs(q_infinity(A, phi_n, r) - expected) < 1e-12
