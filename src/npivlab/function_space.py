@@ -134,7 +134,10 @@ def resample_matrix(src: Grid, targets: np.ndarray) -> np.ndarray:
     )
 
 
-_CHUNK_ROWS = 64
+# Rows per chunk of every chunked build: the resample mask, the constraint
+# rows and sampled_plugin's x kernel block. On montecarlo's 128-node grids the
+# x block's 32-row slabs give products bit-equal to one GEMM of whole blocks.
+_CHUNK_ROWS = 32
 
 
 def _row_chunks(rows: int):

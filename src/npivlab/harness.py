@@ -355,8 +355,8 @@ def run_montecarlo(cfg: ExperimentConfig) -> ResultTable:
     with status 'degenerate' rather than aborting the run. Summary rows
     carry the mean and standard deviation over successful replications.
 
-    Every replication's plug-in builds its two Gaussian kernel blocks in
-    one pair of buffers, allocated once per run.
+    Every replication's plug-in builds its z Gaussian kernel block in one
+    buffer, allocated once per run.
     """
     _require(cfg, "montecarlo")
     dgp = make_dgp(cfg.dgp)
@@ -372,7 +372,7 @@ def run_montecarlo(cfg: ExperimentConfig) -> ResultTable:
         return math.sqrt(float(np.dot(w, err**2)) / weight_sum)
 
     suite = solver_suite(cfg.lambdas, None)
-    work = (np.empty((x_grid.size, m)), np.empty((z_grid.size, m)))
+    work = np.empty((z_grid.size, m))
 
     # One replication per call, so its sample and operator (with everything
     # cached on it) are released before the next sample is drawn.

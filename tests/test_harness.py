@@ -453,9 +453,8 @@ class TestMontecarlo:
             mc_config(quadrature_size=64, z_size=48, replications=3, sample_size=500)
         )
         assert len(seen) == 3
-        assert [work[0].shape for work in seen] == [(64, 500)] * 3
-        assert [work[1].shape for work in seen] == [(48, 500)] * 3
-        assert all(work[0] is seen[0][0] and work[1] is seen[0][1] for work in seen)
+        assert [work.shape for work in seen] == [(48, 500)] * 3
+        assert all(work is seen[0] for work in seen)
 
     def test_rows_equal_a_run_that_allocates_its_blocks(self, monkeypatch):
         import npivlab.harness as harness_mod
