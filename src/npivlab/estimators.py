@@ -375,21 +375,7 @@ def _product_with_x_block(
     return out
 
 
-def _check_work(work, shape) -> None:
-    """Reject a z kernel-block buffer that sampled_plugin cannot fill."""
-    if not (
-        isinstance(work, np.ndarray)
-        and work.shape == shape
-        and work.dtype == np.float64
-        and work.flags.c_contiguous
-        and work.flags.writeable
-    ):
-        raise ValueError(
-            f"work must be a writeable C-contiguous float64 array of shape {shape}"
-        )
-
-
-def sampled_plugin(sample, x_grid: Grid, z_grid: Grid, work=None):
+def sampled_plugin(sample, x_grid: Grid, z_grid: Grid):
     """Kernel plug-in operator and reduced form from a finite sample.
 
     The joint density of (X, Z) is estimated by a product-Gaussian kernel
@@ -408,22 +394,15 @@ def sampled_plugin(sample, x_grid: Grid, z_grid: Grid, work=None):
     grids with m = 10^4 this is bit-equal to one product of the two whole
     blocks, at one BLAS thread and at the default count; on other shapes (a
     ragged last slab, say) it may differ at rounding level.
-
-    When work is given, a writeable C-contiguous float64 array of shape
-    (z_grid.size, m), the z block is built in it instead of in a fresh
-    array. It is scratch: nothing returned refers to it, and each thread
-    needs its own buffer.
     """
     m = sample.size
     if m < 50:
         raise ValueError("sampled_plugin needs at least 50 observations")
-    if work is not None:
-        _check_work(work, (z_grid.size, m))
     hx = 1.06 * float(np.std(sample.x)) * m**-0.2
     hz = 1.06 * float(np.std(sample.z)) * m**-0.2
     if not (hx > 1e-12 and hz > 1e-12):
         raise DegenerateSampleError("sample has (near) zero spread in x or z")
-    gauss_z = _gaussian_block(z_grid.nodes, sample.z, hz, out=work)
+    gauss_z = _gaussian_block(z_grid.nodes, sample.z, hz)
     fxz_hat = _product_with_x_block(gauss_z, x_grid.nodes, sample.x, hx)
     fxz_hat *= 1.0 / (m * hx * hz * 2.0 * math.pi)
     fz_hat = fxz_hat @ x_grid.weights

@@ -354,9 +354,6 @@ def run_montecarlo(cfg: ExperimentConfig) -> ResultTable:
     [0.1, 0.9], away from boundary bias). Degenerate samples produce rows
     with status 'degenerate' rather than aborting the run. Summary rows
     carry the mean and standard deviation over successful replications.
-
-    Every replication's plug-in builds its z Gaussian kernel block in one
-    buffer, allocated once per run.
     """
     _require(cfg, "montecarlo")
     dgp = make_dgp(cfg.dgp)
@@ -372,14 +369,13 @@ def run_montecarlo(cfg: ExperimentConfig) -> ResultTable:
         return math.sqrt(float(np.dot(w, err**2)) / weight_sum)
 
     suite = solver_suite(cfg.lambdas, None)
-    work = np.empty((z_grid.size, m))
 
     # One replication per call, so its sample and operator (with everything
     # cached on it) are released before the next sample is drawn.
     def replicate(i: int) -> list:
         draws = sample(dgp, m, cfg.seed + i)
         try:
-            op, r_hat = sampled_plugin(draws, x_grid, z_grid, work=work)
+            op, r_hat = sampled_plugin(draws, x_grid, z_grid)
         except DegenerateSampleError:
             return [
                 ("replication", i, m, lam, name, float("nan"), "degenerate")

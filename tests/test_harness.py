@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -387,12 +388,12 @@ class TestMontecarlo:
         degenerate_calls = {1}
         calls = []
 
-        def flaky(draws, x_grid, z_grid, work=None):
+        def flaky(draws, x_grid, z_grid):
             replication = len(calls)
             calls.append(replication)
             if replication in degenerate_calls:
                 raise DegenerateSampleError("synthetic degenerate draw")
-            return real(draws, x_grid, z_grid, work=work)
+            return real(draws, x_grid, z_grid)
 
         monkeypatch.setattr(harness_mod, "sampled_plugin", flaky)
         table = run_montecarlo(cfg)
@@ -428,8 +429,8 @@ class TestMontecarlo:
             alive_at_draw.append([ref() is not None for ref in operators])
             return real_sample(dgp, m, seed)
 
-        def watched_plugin(draws, x_grid, z_grid, work=None):
-            op, r_hat = real_plugin(draws, x_grid, z_grid, work=work)
+        def watched_plugin(draws, x_grid, z_grid):
+            op, r_hat = real_plugin(draws, x_grid, z_grid)
             operators.append(weakref.ref(op))
             return op, r_hat
 
@@ -438,36 +439,31 @@ class TestMontecarlo:
         run_montecarlo(mc_config(replications=3, sample_size=500))
         assert alive_at_draw == [[], [False], [False, False]]
 
-    def test_every_replication_fills_the_same_buffers(self, monkeypatch):
+    def test_no_kernel_block_outlives_its_replication(self, monkeypatch):
+        # each (z_size, m) kernel block is built inside its replication's
+        # plug-in call, so none is held when the next sample is drawn
         import npivlab.harness as harness_mod
 
-        real = harness_mod.sampled_plugin
-        seen = []
+        real_sample = harness_mod.sample
+        m, z_size = 10_000, 128
+        held = []
 
-        def recording(draws, x_grid, z_grid, work=None):
-            seen.append(work)
-            return real(draws, x_grid, z_grid, work=work)
+        def watched_sample(dgp, size, seed):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return real_sample(dgp, size, seed)
 
-        monkeypatch.setattr(harness_mod, "sampled_plugin", recording)
-        run_montecarlo(
-            mc_config(quadrature_size=64, z_size=48, replications=3, sample_size=500)
-        )
-        assert len(seen) == 3
-        assert [work.shape for work in seen] == [(48, 500)] * 3
-        assert all(work is seen[0] for work in seen)
-
-    def test_rows_equal_a_run_that_allocates_its_blocks(self, monkeypatch):
-        import npivlab.harness as harness_mod
-
-        cfg = mc_config(quadrature_size=64, z_size=48, replications=3, sample_size=500)
-        reused = run_montecarlo(cfg)
-        real = harness_mod.sampled_plugin
-
-        def allocating(draws, x_grid, z_grid, work=None):
-            return real(draws, x_grid, z_grid)
-
-        monkeypatch.setattr(harness_mod, "sampled_plugin", allocating)
-        assert run_montecarlo(cfg).rows == reused.rows
+        monkeypatch.setattr(harness_mod, "sample", watched_sample)
+        cfg = mc_config(quadrature_size=128, z_size=z_size, replications=3, sample_size=m)
+        tracemalloc.start()
+        try:
+            run_montecarlo(cfg)
+        finally:
+            tracemalloc.stop()
+        block = z_size * m * 8
+        assert len(held) == 3
+        assert all(current < 0.5 * block for current in held), [
+            current / block for current in held
+        ]
 
     def test_replication_rows_depend_only_on_seed_plus_index(self):
         seed = 11
@@ -896,9 +892,9 @@ class TestRunInvariantWork:
         def copy(g):
             return Grid(g.size)
 
-        def fresh_grids(draws, x_grid, z_grid, work=None):
+        def fresh_grids(draws, x_grid, z_grid):
             # equal grids of its own per replication, so nothing is shared
-            return real(draws, copy(x_grid), copy(z_grid), work=work)
+            return real(draws, copy(x_grid), copy(z_grid))
 
         with monkeypatch.context() as patch:
             patch.setattr(harness_mod, "sampled_plugin", fresh_grids)
