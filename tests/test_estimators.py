@@ -491,10 +491,13 @@ class TestSampledPlugin:
             tracemalloc.stop()
         return peak / (grid.size * m * 8)
 
+    def test_call_allocates_its_z_block(self):
+        # the z block is built in the call, so it is in the call peak
+        assert self._call_peak() >= 1.0
+
     def test_call_without_work_holds_one_block_and_a_slab(self):
-        # the z block whole, allocated in the call, and the x block one
-        # 32-node slab at a time
-        assert 1.0 <= self._call_peak() < 1.3
+        # the z block whole, the x block one 32-node slab at a time
+        assert self._call_peak() < 1.3
 
     @staticmethod
     def _one_shot_outputs(s, x_grid, z_grid):
