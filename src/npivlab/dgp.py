@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _ndtr as ndtr
+from . import _load_compiled
 from .function_space import Grid, GridFunction
 
 # Package code differentiates, resamples and shape-checks phi0 through its
@@ -170,6 +170,7 @@ def sample(dgp: Dgp, m: int, seed: int) -> Sample:
     w_indep = rng.standard_normal(m)
     rho = dgp.spec.rho
     w = rho * v + math.sqrt(1.0 - rho * rho) * w_indep
+    ndtr = _load_compiled("special", "_special_ufuncs").ndtr
     x = ndtr(v)
     z = ndtr(w)
     y = phi0_callable(dgp.spec)(x)

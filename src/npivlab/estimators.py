@@ -32,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from . import _nnls as _compiled_nnls
+from . import _load_compiled
 from .counterexamples import MONOTONE, CounterexampleSpec, psi
 from .function_space import (
     ConstraintSet,
@@ -60,7 +60,7 @@ def nnls(A: np.ndarray, b: np.ndarray, maxiter: int):
     call. Raises RuntimeError when the iteration cap is reached."""
     A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
     b = np.asarray_chkfinite(b, dtype=np.float64)
-    x, rnorm, info = _compiled_nnls(A, b, maxiter)
+    x, rnorm, info = _load_compiled("optimize", "_slsqplib").nnls(A, b, maxiter)
     if info == 3:
         raise RuntimeError("Maximum number of iterations reached.")
     return x, rnorm

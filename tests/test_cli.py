@@ -117,7 +117,7 @@ def test_flags_may_come_before_the_command(tmp_path):
         ("compare", {"experiment": "estimator_comparison", "z_size": 10**15}),
         ("svd", {"experiment": "svd_report", "inspection_size": 10**15}),
     ],
-    ids=["kernel-blocks", "leggauss-x", "leggauss-z", "inspection-nodes"],
+    ids=["sample-draw", "leggauss-x", "leggauss-z", "inspection-nodes"],
 )
 def test_size_too_large_to_allocate_exits_2_on_one_line(tmp_path, capsys, command, raw):
     cfg_path = tmp_path / "huge.json"
@@ -287,24 +287,50 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     assert "wrote" in proc.stdout
 
 
-# The demo and compare workloads of perfbench/run.py, whose table digests
-# perfbench/reference.json records.
+# The workloads of perfbench/run.py, montecarlo at seed 0, as (command,
+# config); perfbench/reference.json records their table digests.
 WORKLOAD_RUNS = {
-    "demo": {
-        "experiment": "illposedness_demo",
-        "quadrature_size": 128,
-        "inspection_size": 1001,
-        "family": "monotone",
-        "n_max": 100,
-        "epsilon": 0.1,
-    },
-    "compare": {
-        "experiment": "estimator_comparison",
-        "quadrature_size": 128,
-        "z_size": 128,
-        "lambdas": [1e-4],
-        "constraints": ["monotone_nondecreasing"],
-    },
+    "demo": (
+        "demo",
+        {
+            "experiment": "illposedness_demo",
+            "quadrature_size": 128,
+            "inspection_size": 1001,
+            "family": "monotone",
+            "n_max": 100,
+            "epsilon": 0.1,
+        },
+    ),
+    "compare": (
+        "compare",
+        {
+            "experiment": "estimator_comparison",
+            "quadrature_size": 128,
+            "z_size": 128,
+            "lambdas": [1e-4],
+            "constraints": ["monotone_nondecreasing"],
+        },
+    ),
+    "compare_n512": (
+        "compare",
+        {
+            "experiment": "estimator_comparison",
+            "quadrature_size": 512,
+            "z_size": 512,
+            "lambdas": [1e-6, 1e-4, 1e-2],
+            "constraints": ["monotone_nondecreasing", "convex"],
+        },
+    ),
+    "montecarlo": (
+        "montecarlo",
+        {
+            "experiment": "montecarlo",
+            "replications": 20,
+            "sample_size": 10000,
+            "lambdas": [1e-4],
+            "seed": 0,
+        },
+    ),
 }
 RUN_WORKLOADS = """import json, os, sys
 import npivlab.cli
@@ -315,18 +341,20 @@ print(os.environ["OPENBLAS_THREAD_TIMEOUT"])
 
 
 def test_workload_tables_hold_their_digests_with_the_blas_spin_timeout(tmp_path):
-    # pytest imports numpy before npivlab, so the in-process digest tests run
-    # under OpenBLAS's own spin timeout; this child imports npivlab first, as
-    # the console script does, at the default thread count
+    # pytest imports numpy, scipy.optimize and scipy.special before npivlab,
+    # so the in-process digest tests run under OpenBLAS's own spin timeout and
+    # call scipy's NNLS at the default thread count; this child imports
+    # npivlab first, as the console script does, so its numpy reads the
+    # timeout and its NNLS runs on the one-thread OpenBLAS the package loads
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_THREAD_TIMEOUT"):
         env.pop(name, None)
     runs = []
-    for name, config in WORKLOAD_RUNS.items():
+    for name, (command, config) in WORKLOAD_RUNS.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
-        runs.append([name, str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}.csv")])
+        runs.append([command, str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}.csv")])
     proc = subprocess.run(
         [sys.executable, "-c", RUN_WORKLOADS, json.dumps(runs)],
         capture_output=True,
@@ -337,7 +365,10 @@ def test_workload_tables_hold_their_digests_with_the_blas_spin_timeout(tmp_path)
     assert proc.stdout.splitlines()[-1] == "26"
     reference = Path(src).parent / "perfbench" / "reference.json"
     recorded = json.loads(reference.read_text(encoding="utf-8"))["digests"]
-    for name in WORKLOAD_RUNS:
+    for name, (_, config) in WORKLOAD_RUNS.items():
+        digest = recorded[name]
+        if "seed" in config:  # montecarlo's digests are recorded per seed
+            digest = digest[str(config["seed"])]
         with open(tmp_path / f"{name}.csv", "rb") as handle:
             data = b"".join(line for line in handle if not line.startswith(b"#"))
-        assert hashlib.sha256(data).hexdigest() == recorded[name], name
+        assert hashlib.sha256(data).hexdigest() == digest, name

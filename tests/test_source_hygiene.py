@@ -511,8 +511,9 @@ def test_the_inspection_census_sees_every_spelling():
 
 
 # scipy.optimize and scipy.special cost about half a second of import in
-# every run for two kernels; the package __init__ loads scipy's compiled NNLS
-# and ndtr from their extension files instead, and imports no scipy module.
+# every run for two kernels; the package loads scipy's compiled NNLS and ndtr
+# from their extension files instead, each at its first call, and imports no
+# scipy module.
 def _scipy_imports(tree: ast.Module) -> list:
     """Lines importing scipy or anything inside it."""
 
@@ -549,46 +550,72 @@ def test_the_scipy_census_sees_every_spelling():
     assert _scipy_imports(tree) == [1, 2, 3, 4, 5, 6, 7]
 
 
-def _run_fresh(program: str) -> str:
-    """Run ``program`` in a fresh interpreter that imports npivlab from src,
-    with the BLAS thread counts and spin timeout a user gets by default;
-    return its stdout."""
+def _run_fresh(program: str, *args: str) -> str:
+    """Run ``program`` with ``args`` in a fresh interpreter that imports
+    npivlab from src, with the BLAS thread counts and spin timeout a user gets
+    by default; return its stdout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SOURCE.parent), os.environ.get("PYTHONPATH")) if p
     ))
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_THREAD_TIMEOUT"):
         env.pop(name, None)
     done = subprocess.run(
-        [sys.executable, "-c", program], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", program, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
     )
     return done.stdout.strip()
 
 
 SCIPY_MODULES = "import sys\n{}\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
-LOADED_EXTENSIONS = "['scipy.optimize._slsqplib', 'scipy.special._special_ufuncs']"
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
-    assert _run_fresh(SCIPY_MODULES.format("import npivlab.cli")) == LOADED_EXTENSIONS
+    assert _run_fresh(SCIPY_MODULES.format("import npivlab.cli")) == "[]"
 
 
 def test_the_scipy_module_probe_sees_a_package_import():
     assert "'scipy.special'" in _run_fresh(SCIPY_MODULES.format("import scipy.special"))
 
 
-# scipy's OpenBLAS, which _slsqplib links, keeps a worker thread spinning
-# after it loads, for about 32 ms under npivlab's OPENBLAS_THREAD_TIMEOUT of
-# 26 (2^26 cycles; OpenBLAS's own default of 28 spins about 0.13 s). Loaded
-# before numpy, the spin overlaps numpy's import; loaded after it, the spin
-# lands in the command that follows.
+# A command loads the compiled kernels it calls and no others: the constrained
+# solve calls NNLS, and only dgp.sample, which compare never calls, calls ndtr.
+RUN_COMMAND = "import npivlab.cli\nassert npivlab.cli.main(sys.argv[1:]) == 0"
+LOADED_BY_COMMAND = {
+    "demo": [],
+    "svd": [],
+    "montecarlo": ["scipy.special._special_ufuncs"],
+    "compare": ["scipy.optimize._slsqplib"],
+}
+
+
+@pytest.mark.parametrize("command", LOADED_BY_COMMAND)
+def test_a_command_loads_only_the_compiled_kernels_it_calls(tmp_path, command):
+    out = str(tmp_path / f"{command}.csv")
+    loaded = _run_fresh(SCIPY_MODULES.format(RUN_COMMAND), command, "--out", out)
+    assert loaded.splitlines()[-1] == str(LOADED_BY_COMMAND[command])
+
+
+# scipy's OpenBLAS, which _slsqplib links, starts worker threads as it loads,
+# and an idle worker spins for about 32 ms under npivlab's
+# OPENBLAS_THREAD_TIMEOUT of 26 (2^26 cycles; OpenBLAS's own default of 28
+# spins about 0.13 s). The package loads it at one thread, which starts no
+# worker. Each probe sleeps first, so that numpy's own workers, which spin
+# after numpy loads, are asleep before the load it measures.
 SPIN_PROBE = """import time
 {}
 start = time.process_time()
 time.sleep(0.1)
 print(time.process_time() - start)
 """
-# Importing numpy before npivlab loads _slsqplib after numpy.
-LOAD_AFTER_NUMPY = "import numpy\nimport npivlab"
+FIRST_NNLS = """import os
+import numpy as np
+from npivlab.estimators import nnls
+time.sleep(0.2)
+{}
+nnls(np.eye(2), np.ones(2), 10)"""
 SPIN_CPU_LIMIT_S = 0.010
 
 
@@ -596,7 +623,7 @@ def _spin_cpu_s(load: str) -> float:
     """CPU seconds the process burns in a 100 ms sleep right after ``load``,
     the least of three fresh interpreters: a busy host can delay the start of
     the worker thread, and with it the spin, in one run, while a wrong load
-    order spins in every run."""
+    spins in every run."""
     return min(float(_run_fresh(SPIN_PROBE.format(load))) for _ in range(3))
 
 
@@ -604,9 +631,36 @@ def test_importing_the_cli_leaves_no_thread_spinning():
     assert _spin_cpu_s("import npivlab.cli") <= SPIN_CPU_LIMIT_S
 
 
+def test_the_first_nnls_call_leaves_no_thread_spinning():
+    assert _spin_cpu_s(FIRST_NNLS.format("")) <= SPIN_CPU_LIMIT_S
+
+
+# The control: a user who sets OPENBLAS_NUM_THREADS to the default count loads
+# scipy's OpenBLAS with its workers, and the probe must see them spin.
+AT_THE_DEFAULT_COUNT = "os.environ['OPENBLAS_NUM_THREADS'] = str(os.cpu_count())"
+
+
 @pytest.mark.skipif(os.cpu_count() < 2, reason="one CPU: OpenBLAS starts no worker thread")
-def test_the_spin_probe_sees_nnls_loaded_after_numpy():
-    assert _spin_cpu_s(LOAD_AFTER_NUMPY) > SPIN_CPU_LIMIT_S
+def test_the_spin_probe_sees_nnls_loaded_at_the_default_thread_count():
+    assert _spin_cpu_s(FIRST_NNLS.format(AT_THE_DEFAULT_COUNT)) > SPIN_CPU_LIMIT_S
+
+
+ENVIRONMENT_PROBE = """import os
+{}
+import numpy as np
+from npivlab.estimators import nnls
+before = dict(os.environ)
+nnls(np.eye(2), np.ones(2), 10)
+print(dict(os.environ) == before, os.environ.get('OPENBLAS_NUM_THREADS'))"""
+
+
+def test_the_first_nnls_call_leaves_the_environment_as_it_found_it():
+    assert _run_fresh(ENVIRONMENT_PROBE.format("")) == "True None"
+
+
+def test_a_users_blas_thread_count_is_kept():
+    preset = "os.environ['OPENBLAS_NUM_THREADS'] = '2'"
+    assert _run_fresh(ENVIRONMENT_PROBE.format(preset)) == "True 2"
 
 
 TIMEOUT_PROBE = "import os\n{}\nprint(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
