@@ -10,8 +10,8 @@ shape-constrained estimators on the resulting inverse problem.
 import os
 import sys
 import threading
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from importlib.util import find_spec, module_from_spec, spec_from_file_location
+from importlib.machinery import PathFinder
+from importlib.util import find_spec, module_from_spec
 
 __version__ = "0.1.0"
 
@@ -48,20 +48,17 @@ def _load_compiled(subpackage: str, name: str):
     with _loading:
         if qualified in sys.modules:
             return sys.modules[qualified]
-        spec = find_spec("scipy")
-        for root in spec.submodule_search_locations if spec else ():
-            for suffix in EXTENSION_SUFFIXES:
-                path = os.path.join(root, subpackage, name + suffix)
-                if os.path.isfile(path):
-                    loader = ExtensionFileLoader(qualified, path)
-                    found = spec_from_file_location(qualified, path, loader=loader)
-                    user_threads = "OPENBLAS_NUM_THREADS" in os.environ
-                    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-                    try:
-                        module = module_from_spec(found)
-                        loader.exec_module(module)
-                    finally:
-                        if not user_threads:
-                            del os.environ["OPENBLAS_NUM_THREADS"]
-                    return module
+        scipy = find_spec("scipy")
+        roots = scipy.submodule_search_locations if scipy else ()
+        found = PathFinder.find_spec(qualified, [os.path.join(r, subpackage) for r in roots])
+        if found is not None:
+            user_threads = "OPENBLAS_NUM_THREADS" in os.environ
+            os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+            try:
+                module = module_from_spec(found)
+                found.loader.exec_module(module)
+            finally:
+                if not user_threads:
+                    del os.environ["OPENBLAS_NUM_THREADS"]
+            return module
     raise ImportError(f"npivlab needs scipy>=1.17, whose scipy/{subpackage}/{name} it loads")

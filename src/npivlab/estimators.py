@@ -291,7 +291,6 @@ def constrained_estimate(
     A: DiscreteOperator,
     r: GridFunction,
     constraints: ConstraintSet,
-    maxit: int = QP_MAX_ITERATIONS,
 ) -> EstimateResult:
     """Shape-constrained least squares, no penalty, with a KKT certificate.
 
@@ -312,7 +311,7 @@ def constrained_estimate(
         ("constraint_rows", constraints),
         lambda: _read_only(constraints.rows(A.x_grid, V)),
     )
-    y, mu, iterations, converged = _solve_inequality_qp(Sj, d, A_red, maxit)
+    y, mu, iterations, converged = _solve_inequality_qp(Sj, d, A_red, QP_MAX_ITERATIONS)
     u = V @ y
     return EstimateResult(
         phi_hat=GridFunction(A.x_grid, u / sw),

@@ -134,9 +134,8 @@ def resample_matrix(src: Grid, targets: np.ndarray) -> np.ndarray:
     )
 
 
-# Rows per chunk of every chunked build: the resample mask, the constraint
-# rows and sampled_plugin's x kernel block. On montecarlo's 128-node grids the
-# x block's 32-row slabs give products bit-equal to one GEMM of whole blocks.
+# Rows per chunk of the constraint rows and of sampled_plugin's x kernel block,
+# whose 32-row slabs give products bit-equal to one GEMM on 128-node grids.
 _CHUNK_ROWS = 32
 
 
@@ -148,11 +147,9 @@ def _row_chunks(rows: int):
 def _build_resample_matrix(src: Grid, targets: np.ndarray) -> np.ndarray:
     bw = _barycentric_weights(src)
     diff = targets[:, None] - src.nodes[None, :]
-    # Take the exact-node mask before diff is overwritten by the terms, a
-    # chunk of rows at a time, so no full-size temporary is formed.
-    exact = np.empty(diff.shape, dtype=bool)
-    for chunk in _row_chunks(len(diff)):
-        np.less(np.abs(diff[chunk]), 1e-14, out=exact[chunk])
+    # The exact nodes, |diff| < 1e-14 without a full-size np.abs temporary.
+    exact = diff < 1e-14
+    exact &= diff > -1e-14
     exact_rows, exact_cols = np.nonzero(exact)
     with np.errstate(divide="ignore", invalid="ignore"):
         R = np.divide(bw, diff, out=diff)
@@ -279,20 +276,14 @@ class ConstraintSet:
         n = len(R)
         orders = [c.difference_order for c in self.constraints]
         out = np.empty((sum(n - m for m in orders), basis.shape[1]))
-        # R itself is shared and read-only, so each block is built in one
-        # scratch copy of it: the m-th differences are taken in place (row i
-        # becomes row i + 1 minus row i, ascending, a chunk of rows at a time,
-        # the row after a chunk still unwritten), then divided in place, so
-        # no second full-size block is ever alive.
+        # Each block's differences fill one scratch array a chunk of rows at a
+        # time and are divided in place: no second full-size block is alive.
         scratch = np.empty_like(R)
         start = 0
         for m in orders:
-            np.copyto(scratch, R)
-            for rows in range(n - 1, n - 1 - m, -1):
-                for chunk in _row_chunks(rows):
-                    below = slice(chunk.start + 1, chunk.stop + 1)
-                    np.subtract(scratch[below], scratch[chunk], out=scratch[chunk])
             D = scratch[: n - m]
+            for chunk in _row_chunks(n - m):
+                D[chunk] = np.diff(R[chunk.start : chunk.stop + m], n=m, axis=0)
             D /= sw
             np.matmul(D, basis, out=out[start : start + n - m])
             start += n - m

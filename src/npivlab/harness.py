@@ -369,6 +369,7 @@ def run_montecarlo(cfg: ExperimentConfig) -> ResultTable:
         return math.sqrt(float(np.dot(w, err**2)) / weight_sum)
 
     suite = solver_suite(cfg.lambdas, None)
+    errors = [[] for _ in suite]  # each solver's errors on the ok replications
 
     # One replication per call, so its sample and operator (with everything
     # cached on it) are released before the next sample is drawn.
@@ -381,29 +382,21 @@ def run_montecarlo(cfg: ExperimentConfig) -> ResultTable:
                 ("replication", i, m, lam, name, float("nan"), "degenerate")
                 for name, lam, _ in suite
             ]
-        return [
-            ("replication", i, m, lam, name, interior_error(solve(op, r_hat).phi_hat), "ok")
-            for name, lam, solve in suite
-        ]
+        rows = []
+        for (name, lam, solve), errs in zip(suite, errors):
+            errs.append(interior_error(solve(op, r_hat).phi_hat))
+            rows.append(("replication", i, m, lam, name, errs[-1], "ok"))
+        return rows
 
     rows = [row for i in range(cfg.replications) for row in replicate(i)]
 
-    summary = []
-    for name, lam, _ in suite:
-        errs = [
-            row[5]
-            for row in rows
-            if row[4] == name and row[3] == lam and row[6] == "ok"
-        ]
+    for (name, lam, _), errs in zip(suite, errors):
+        mean = sd = float("nan")
         if errs:
             mean = float(np.mean(errs))
             sd = float(np.std(errs, ddof=1)) if len(errs) >= 2 else 0.0
-        else:
-            mean = float("nan")
-            sd = float("nan")
-        summary.append(("mean", -1, m, lam, name, mean, "summary"))
-        summary.append(("sd", -1, m, lam, name, sd, "summary"))
-    rows.extend(summary)
+        rows.append(("mean", -1, m, lam, name, mean, "summary"))
+        rows.append(("sd", -1, m, lam, name, sd, "summary"))
     columns = (
         "row_kind",
         "replication",

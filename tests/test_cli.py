@@ -10,6 +10,7 @@ import pytest
 import npivlab.cli as cli
 from npivlab.estimators import NumericalError
 from npivlab.harness import load_csv
+from test_output_digests import WORKLOAD_CONFIGS
 
 
 def test_svd_subcommand_writes_csv(tmp_path, capsys):
@@ -288,49 +289,16 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
 
 
 # The workloads of perfbench/run.py, montecarlo at seed 0, as (command,
-# config); perfbench/reference.json records their table digests.
+# config), with the configs of test_output_digests; perfbench/reference.json
+# records their table digests.
+WORKLOAD_COMMANDS = {
+    "demo": "demo",
+    "compare": "compare",
+    "compare_n512": "compare",
+    "montecarlo": "montecarlo",
+}
 WORKLOAD_RUNS = {
-    "demo": (
-        "demo",
-        {
-            "experiment": "illposedness_demo",
-            "quadrature_size": 128,
-            "inspection_size": 1001,
-            "family": "monotone",
-            "n_max": 100,
-            "epsilon": 0.1,
-        },
-    ),
-    "compare": (
-        "compare",
-        {
-            "experiment": "estimator_comparison",
-            "quadrature_size": 128,
-            "z_size": 128,
-            "lambdas": [1e-4],
-            "constraints": ["monotone_nondecreasing"],
-        },
-    ),
-    "compare_n512": (
-        "compare",
-        {
-            "experiment": "estimator_comparison",
-            "quadrature_size": 512,
-            "z_size": 512,
-            "lambdas": [1e-6, 1e-4, 1e-2],
-            "constraints": ["monotone_nondecreasing", "convex"],
-        },
-    ),
-    "montecarlo": (
-        "montecarlo",
-        {
-            "experiment": "montecarlo",
-            "replications": 20,
-            "sample_size": 10000,
-            "lambdas": [1e-4],
-            "seed": 0,
-        },
-    ),
+    name: (command, WORKLOAD_CONFIGS[name]) for name, command in WORKLOAD_COMMANDS.items()
 }
 RUN_WORKLOADS = """import json, os, sys
 import npivlab.cli

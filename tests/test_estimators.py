@@ -203,11 +203,12 @@ class TestConstrained:
         assert result.kkt_residual <= 1e-6
         assert check_shape(result.phi_hat, cset) == (True,)
 
-    def test_iteration_cap_reports_nonconvergence(self, problem):
+    def test_iteration_cap_reports_nonconvergence(self, problem, monkeypatch):
         x, z, A, _, r = problem
         shift = apply(A, psi(CounterexampleSpec(MONOTONE, 50), x)).values
         perturbed = GridFunction(z, r.values + 0.1 * shift)
-        result = constrained_estimate(A, perturbed, MONOTONE_SET, maxit=1)
+        monkeypatch.setattr(estimators, "QP_MAX_ITERATIONS", 1)
+        result = constrained_estimate(A, perturbed, MONOTONE_SET)
         assert not result.converged
         assert result.iterations == 1
         assert np.all(np.isfinite(result.phi_hat.values))

@@ -449,6 +449,32 @@ def test_constraint_names_are_only_labels(alias, name):
     assert verdicts == {(True,), (False,)}
 
 
+# Orders 0 to 3 and a mixed set; with the x grid's 48 columns, inspection
+# sizes where n - m is and is not a whole number of 32-row chunks.
+@pytest.mark.parametrize("inspection_size", [33, 66, 1001])
+@pytest.mark.parametrize(
+    "names",
+    [
+        ("nonnegative",),
+        ("monotone_nondecreasing",),
+        ("convex",),
+        ("derivative_sign_3",),
+        ("convex", "nonnegative", "derivative_sign_3"),
+    ],
+    ids="+".join,
+)
+def test_constraint_rows_are_bit_equal_to_the_plain_formula(names, inspection_size):
+    x = make_grid(48)
+    cset = ConstraintSet(tuple(map(ShapeConstraint, names)), inspection_size)
+    basis = np.linalg.qr(np.vander(x.nodes, 6))[0]
+    R = resample_matrix(x, cset.nodes)
+    sw = np.sqrt(x.weights)
+    plain = np.vstack(
+        [(np.diff(R, n=c.difference_order, axis=0) / sw) @ basis for c in cset.constraints]
+    )
+    assert cset.rows(x, basis).tobytes() == plain.tobytes()
+
+
 def test_grid_function_validation(gauss128):
     with pytest.raises(ValueError):
         GridFunction(gauss128, np.ones(5))

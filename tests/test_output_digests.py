@@ -2,7 +2,7 @@
 
 The configs are the benchmark workloads of ``perfbench/run.py`` (``montecarlo``
 at seed 0, and again at seed 63, so two independent draw sequences pass
-through the kernel-block buffers a run reuses); the recorded SHA-256 of each
+through the sampled plug-in); the recorded SHA-256 of each
 table's header and data rows (every line not starting with ``#``, so the
 timestamped metadata is ignored) is read from ``perfbench/reference.json``.
 The default ``svd_report`` table, an ``estimator_comparison`` on unequal x

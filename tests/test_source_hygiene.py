@@ -369,9 +369,8 @@ def test_the_array_census_sees_value_comparison():
 
 # Defaulted parameters of public package functions that no package call
 # passes, kept because callers outside the package pass them: the tests and
-# the benchmark's child run main(argv), and
-# test_iteration_cap_reports_nonconvergence sets constrained_estimate's maxit.
-DEFAULTED_BUT_PASSED_OUTSIDE = {"main.argv", "constrained_estimate.maxit"}
+# the benchmark's child run main(argv).
+DEFAULTED_BUT_PASSED_OUTSIDE = {"main.argv"}
 
 
 def _unpassed_defaults(trees: list) -> set:
