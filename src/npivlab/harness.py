@@ -181,6 +181,9 @@ class ExperimentConfig:
 
 @dataclass
 class ResultTable:
+    """An experiment's table. Rows are tuples of cells in column order; the
+    runners build them from {column: value} dicts through _table."""
+
     columns: tuple
     rows: list
     metadata: dict
@@ -208,6 +211,12 @@ def _metadata(cfg: ExperimentConfig) -> dict:
     meta.update((f.name, _echo(value)) for f, value in _flat_fields(cfg))
     meta["timestamp"] = datetime.now(timezone.utc).isoformat()
     return meta
+
+
+def _table(cfg: ExperimentConfig, rows: list) -> ResultTable:
+    """The table of {column: value} rows, columns in the first row's order."""
+    columns = tuple(rows[0])
+    return ResultTable(columns, [tuple(row[c] for c in columns) for row in rows], _metadata(cfg))
 
 
 def _require(cfg: ExperimentConfig, experiment: str):
@@ -255,29 +264,21 @@ def run_illposedness_demo(cfg: ExperimentConfig) -> ResultTable:
         direction = psi(cspec, x_grid)
         phi_n = GridFunction(x_grid, phi0.values + cfg.epsilon * direction.values)
         bound = analytic_sup_A_psi_bound(cspec, density_sup)
+        monotone_ok, nonneg_ok, convex_ok = check_shape(phi_n, shapes)
         rows.append(
-            (
-                n,
-                l2_norm(GridFunction(x_grid, phi_n.values - phi0.values)),
-                q_infinity(A, phi_n, r),
-                cfg.epsilon**2 * bound**2,
-                float(np.abs(apply(A, direction).values).max()),
-                sobolev_norm(phi_n),
-                *check_shape(phi_n, shapes),
-            )
+            {
+                "n": n,
+                "l2_dist": l2_norm(GridFunction(x_grid, phi_n.values - phi0.values)),
+                "q_infty": q_infinity(A, phi_n, r),
+                "analytic_bound": cfg.epsilon**2 * bound**2,
+                "sup_A_psi": float(np.abs(apply(A, direction).values).max()),
+                "sobolev_norm_phi_n": sobolev_norm(phi_n),
+                "monotone_ok": monotone_ok,
+                "nonneg_ok": nonneg_ok,
+                "convex_ok": convex_ok,
+            }
         )
-    columns = (
-        "n",
-        "l2_dist",
-        "q_infty",
-        "analytic_bound",
-        "sup_A_psi",
-        "sobolev_norm_phi_n",
-        "monotone_ok",
-        "nonneg_ok",
-        "convex_ok",
-    )
-    return ResultTable(columns=columns, rows=rows, metadata=_metadata(cfg))
+    return _table(cfg, rows)
 
 
 def run_svd_report(cfg: ExperimentConfig) -> ResultTable:
@@ -289,12 +290,8 @@ def run_svd_report(cfg: ExperimentConfig) -> ResultTable:
         grid = make_grid(size)
         report = svd_report(discretize(dgp, grid, grid))
         for k, sigma in enumerate(report.singular_values, start=1):
-            rows.append((size, k, float(sigma)))
-    return ResultTable(
-        columns=("grid_size", "k", "sigma_k"),
-        rows=rows,
-        metadata=_metadata(cfg),
-    )
+            rows.append({"grid_size": size, "k": k, "sigma_k": float(sigma)})
+    return _table(cfg, rows)
 
 
 def run_estimator_comparison(cfg: ExperimentConfig) -> ResultTable:
@@ -302,8 +299,8 @@ def run_estimator_comparison(cfg: ExperimentConfig) -> ResultTable:
 
     error is the distance of the estimate from the unperturbed truth;
     amplification is the estimate's movement divided by the data
-    perturbation norm. Constrained solves that hit the iteration cap are
-    flagged through the converged column and the run continues.
+    perturbation norm. Constrained solves that stall or reach the iteration
+    cap are flagged through the converged column and the run continues.
     """
     _require(cfg, "estimator_comparison")
     x_grid, _, phi0, A, r = _problem(cfg, make_dgp(cfg.dgp))
@@ -316,33 +313,22 @@ def run_estimator_comparison(cfg: ExperimentConfig) -> ResultTable:
             yield (n, math.sqrt(float(np.dot(A.fz_weights, shift**2)))), shift
 
     rows = [
-        (
-            n,
-            lam,
-            name,
-            l2_norm(GridFunction(x_grid, est.phi_hat.values - phi0.values)),
-            moved / delta if delta > 0 else 0.0,
-            est.kkt_residual,
-            all(check_shape(est.phi_hat, cset)),
-            est.condition_diagnostic,
-            est.converged,
-        )
+        {
+            "n": n,
+            "lambda": lam,
+            "solver": name,
+            "error": l2_norm(GridFunction(x_grid, est.phi_hat.values - phi0.values)),
+            "amplification": moved / delta if delta > 0 else 0.0,
+            "kkt_residual": est.kkt_residual,
+            "constraints_ok": all(check_shape(est.phi_hat, cset)),
+            "condition_diagnostic": est.condition_diagnostic,
+            "converged": est.converged,
+        }
         for (n, delta), name, lam, _, est, moved in shifted_solves(
             A, r, solver_suite(cfg.lambdas, cset), shifts()
         )
     ]
-    columns = (
-        "n",
-        "lambda",
-        "solver",
-        "error",
-        "amplification",
-        "kkt_residual",
-        "constraints_ok",
-        "condition_diagnostic",
-        "converged",
-    )
-    return ResultTable(columns=columns, rows=rows, metadata=_metadata(cfg))
+    return _table(cfg, rows)
 
 
 def run_montecarlo(cfg: ExperimentConfig) -> ResultTable:
@@ -368,6 +354,12 @@ def run_montecarlo(cfg: ExperimentConfig) -> ResultTable:
         w = x_grid.weights[interior]
         return math.sqrt(float(np.dot(w, err**2)) / weight_sum)
 
+    def row(kind: str, i: int, lam: float, name: str, error: float, status: str) -> dict:
+        return {
+            "row_kind": kind, "replication": i, "m": m, "lambda": lam,
+            "solver": name, "interior_error": error, "status": status,
+        }
+
     suite = solver_suite(cfg.lambdas, None)
     errors = [[] for _ in suite]  # each solver's errors on the ok replications
 
@@ -379,34 +371,25 @@ def run_montecarlo(cfg: ExperimentConfig) -> ResultTable:
             op, r_hat = sampled_plugin(draws, x_grid, z_grid)
         except DegenerateSampleError:
             return [
-                ("replication", i, m, lam, name, float("nan"), "degenerate")
+                row("replication", i, lam, name, float("nan"), "degenerate")
                 for name, lam, _ in suite
             ]
         rows = []
         for (name, lam, solve), errs in zip(suite, errors):
             errs.append(interior_error(solve(op, r_hat).phi_hat))
-            rows.append(("replication", i, m, lam, name, errs[-1], "ok"))
+            rows.append(row("replication", i, lam, name, errs[-1], "ok"))
         return rows
 
-    rows = [row for i in range(cfg.replications) for row in replicate(i)]
+    rows = [cells for i in range(cfg.replications) for cells in replicate(i)]
 
     for (name, lam, _), errs in zip(suite, errors):
         mean = sd = float("nan")
         if errs:
             mean = float(np.mean(errs))
             sd = float(np.std(errs, ddof=1)) if len(errs) >= 2 else 0.0
-        rows.append(("mean", -1, m, lam, name, mean, "summary"))
-        rows.append(("sd", -1, m, lam, name, sd, "summary"))
-    columns = (
-        "row_kind",
-        "replication",
-        "m",
-        "lambda",
-        "solver",
-        "interior_error",
-        "status",
-    )
-    return ResultTable(columns=columns, rows=rows, metadata=_metadata(cfg))
+        rows.append(row("mean", -1, lam, name, mean, "summary"))
+        rows.append(row("sd", -1, lam, name, sd, "summary"))
+    return _table(cfg, rows)
 
 
 _RUNNERS = {

@@ -335,6 +335,20 @@ def mc_config(**overrides):
 
 
 class TestMontecarlo:
+    def test_row_count_and_columns(self):
+        table = run_montecarlo(mc_config(replications=2, sample_size=500))
+        # naive and tir in each replication, then a mean and an sd row for each
+        assert len(table.rows) == 2 * 2 + 2 * 2
+        assert table.columns == (
+            "row_kind",
+            "replication",
+            "m",
+            "lambda",
+            "solver",
+            "interior_error",
+            "status",
+        )
+
     def test_single_replication_tir_error_is_small(self):
         table = run_montecarlo(mc_config())
         rows = [

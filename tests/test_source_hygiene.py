@@ -509,6 +509,40 @@ def test_the_inspection_census_sees_every_spelling():
     assert _inspection_rule_lines(tree) == [3, 4, 5, 6]
 
 
+# A table is built in one place: each runner hands its {column: value} rows to
+# harness._table, which reads every row by the first row's columns, so no
+# runner lists its columns a second time.
+def _result_table_builders(tree: ast.Module) -> list:
+    """Qualified names of the functions that call ResultTable, by name or attribute."""
+    parents = _parents(tree)
+    return sorted(
+        _qualname(node, parents)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "ResultTable"
+    )
+
+
+def test_only_the_table_helper_builds_a_result_table():
+    builders = [
+        (path.name, name)
+        for path in MODULES
+        for name in _result_table_builders(
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        )
+    ]
+    assert builders == [("harness.py", "_table")]
+
+
+def test_the_table_census_sees_a_direct_call():
+    tree = ast.parse(
+        "def _table(cfg, rows):\n    return ResultTable(c, rows, m)\n"
+        "def run_x(cfg):\n    return ResultTable(columns=c, rows=[], metadata={})\n"
+        "def run_y(cfg) -> ResultTable:\n    return harness.ResultTable(c, [], {})\n"
+        "isinstance(t, ResultTable)\nResultTableView(t)\n"
+    )
+    assert _result_table_builders(tree) == ["_table", "run_x", "run_y"]
+
+
 # scipy.optimize and scipy.special cost about half a second of import in
 # every run for two kernels; the package loads scipy's compiled NNLS and ndtr
 # from their extension files instead, each at its first call, and imports no
