@@ -14,20 +14,35 @@ One parser takes the command and --config PATH (JSON), --out PATH and
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
-import sys
+import gc
 
-import numpy as np
+# The imports below leave about 22K objects, numpy's and the interpreter's,
+# that live until the process exits. Collecting them frees nothing that
+# matters, so the collector stays off while they load; frozen, they are
+# skipped by every later collection, the interpreter's final ones at exit
+# included. A collector the importer had switched off stays off.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import dataclasses
+    import sys
 
-from .estimators import NumericalError
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    emit_csv,
-    load_config,
-    run_experiment,
-)
+    import numpy as np
+
+    from .estimators import NumericalError
+    from .harness import (
+        ConfigError,
+        ExperimentConfig,
+        emit_csv,
+        load_config,
+        run_experiment,
+    )
+
+    gc.freeze()
+finally:
+    if _collecting:
+        gc.enable()
 
 _SUBCOMMANDS = {
     "demo": "illposedness_demo",

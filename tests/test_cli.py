@@ -11,6 +11,7 @@ import npivlab.cli as cli
 from npivlab.estimators import NumericalError
 from npivlab.harness import load_csv
 from test_output_digests import WORKLOAD_CONFIGS
+from test_source_hygiene import _run_fresh
 
 
 def test_svd_subcommand_writes_csv(tmp_path, capsys):
@@ -286,6 +287,31 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     assert proc.returncode == 0
     assert out.exists()
     assert "wrote" in proc.stdout
+
+
+# Fresh interpreters, so the test process's own collector state cannot leak in.
+COLLECTOR_STATE = "import gc\n{}\nprint(gc.isenabled(), gc.get_freeze_count() > 0)"
+
+
+def test_importing_the_cli_freezes_its_objects_and_leaves_the_collector_on():
+    assert _run_fresh(COLLECTOR_STATE.format("import npivlab.cli")) == "True True"
+
+
+def test_importing_the_library_leaves_the_collector_as_it_was():
+    assert _run_fresh(COLLECTOR_STATE.format("import npivlab.harness")) == "True False"
+
+
+def test_a_failed_cli_import_turns_the_collector_back_on():
+    program = (
+        "import sys\nsys.modules['argparse'] = None\n"
+        "try:\n    import npivlab.cli\nexcept ImportError:\n    print('ImportError')"
+    )
+    assert _run_fresh(COLLECTOR_STATE.format(program)) == "ImportError\nTrue False"
+
+
+def test_a_collector_the_importer_turned_off_stays_off():
+    program = "gc.disable()\nimport npivlab.cli"
+    assert _run_fresh(COLLECTOR_STATE.format(program)) == "False True"
 
 
 # The workloads of perfbench/run.py, montecarlo at seed 0, as (command,

@@ -583,6 +583,37 @@ def test_the_scipy_census_sees_every_spelling():
     assert _scipy_imports(tree) == [1, 2, 3, 4, 5, 6, 7]
 
 
+# The command line freezes its import-time objects and switches the collector
+# off while they load; a library module must never change the collector of
+# the process that imports it.
+def _gc_imports(tree: ast.Module) -> list:
+    """Lines importing gc."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [node.lineno for a in node.names if a.name == "gc"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "gc":
+            found.append(node.lineno)
+    return found
+
+
+def test_only_the_command_line_imports_gc():
+    users = {
+        path.name
+        for path in MODULES
+        if _gc_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    }
+    assert users == {"cli.py"}
+
+
+def test_the_gc_census_sees_every_spelling():
+    tree = ast.parse(
+        "import gc\nfrom gc import freeze\nimport os, gc as g\n"
+        "from . import gc\nimport gcx\ngc.collect()\n"
+    )
+    assert _gc_imports(tree) == [1, 2, 3]
+
+
 def _run_fresh(program: str, *args: str) -> str:
     """Run ``program`` with ``args`` in a fresh interpreter that imports
     npivlab from src, with the BLAS thread counts and spin timeout a user gets
