@@ -41,7 +41,6 @@ from .function_space import (
     GridMismatchError,
     ShapeConstraint,
     _CHUNK_ROWS,
-    _read_only,
     _row_chunks,
     differentiation_matrix,
     l2_norm,
@@ -100,7 +99,7 @@ def _penalty_gram(grid: Grid) -> np.ndarray:
     def build():
         sw = np.sqrt(grid.weights)
         F = (sw[:, None] * differentiation_matrix(grid)) / sw[None, :]
-        return _read_only(F.T @ F)
+        return F.T @ F
 
     return grid.memo("penalty_gram", build)
 
@@ -116,7 +115,7 @@ def tir_estimate(A: DiscreteOperator, r: GridFunction, lam: float) -> EstimateRe
         raise ValueError(f"tir_estimate requires 0 < lam < inf, got {lam!r}")
     M, sw, rt = _weighted_system(A, r)
     # M^T M depends on the operator, F^T F on the x grid alone
-    MtM = A.memo("gram", lambda: _read_only(M.T @ M))
+    MtM = A.memo("gram", lambda: M.T @ M)
     FtF = _penalty_gram(A.x_grid)
     # H = (M^T M + lam I) + lam F^T F in one buffer, each entry rounded as in
     # that order: off the diagonal the identity adds nothing.
@@ -307,10 +306,7 @@ def constrained_estimate(
     d = f.U.T @ rt
     V = f.Vt.T
     # V is the operator's own, so the rows depend on it and the set alone.
-    A_red = A.memo(
-        ("constraint_rows", constraints),
-        lambda: _read_only(constraints.rows(A.x_grid, V)),
-    )
+    A_red = A.memo(("constraint_rows", constraints), lambda: constraints.rows(A.x_grid, V))
     y, mu, iterations, converged = _solve_inequality_qp(Sj, d, A_red, QP_MAX_ITERATIONS)
     u = V @ y
     return EstimateResult(

@@ -35,15 +35,19 @@ class Memoized:
     def memo(self, key, build):
         """Return build(), computed once per key for this object.
 
-        For values that depend on the object and the key alone. Threads
-        that race on a missing key may each call build, but all of them
-        get the value stored first; an exception is raised, not stored.
+        For values that depend on the object and the key alone. Every caller
+        shares the value, so an array is made read-only before it is stored.
+        Threads that race on a missing key may each call build, but all of
+        them get the value stored first; an exception is raised, not stored.
         """
         cache = vars(self).setdefault("_cache", {})
         try:
             return cache[key]
         except KeyError:
-            return cache.setdefault(key, build())
+            value = build()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            return cache.setdefault(key, value)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -130,7 +134,7 @@ def resample_matrix(src: Grid, targets: np.ndarray) -> np.ndarray:
         raise ValueError("resample targets must be a 1-d array")
     return src.memo(
         ("resample", targets.tobytes()),
-        lambda: _read_only(_build_resample_matrix(src, targets)),
+        lambda: _build_resample_matrix(src, targets),
     )
 
 
@@ -183,9 +187,7 @@ def sobolev_norm(f: GridFunction) -> float:
     one grid build it once.
     """
     grid = f.grid
-    D = grid.memo(
-        "differentiation_matrix", lambda: _read_only(differentiation_matrix(grid))
-    )
+    D = grid.memo("differentiation_matrix", lambda: differentiation_matrix(grid))
     df = D @ f.values
     w = grid.weights
     return float(np.sqrt(np.dot(w, f.values**2) + np.dot(w, df**2)))

@@ -27,6 +27,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import __version__
 from .counterexamples import (
     FAMILIES,
     MAX_INDEX,
@@ -47,8 +48,6 @@ from .function_space import (
     sobolev_norm,
 )
 from .operators import apply, discretize, q_infinity, svd_report
-
-ARTIFACT_VERSION = "0.1.0"
 
 SVD_GRID_SIZES = (64, 128)
 COMPARISON_N_VALUES = (0, 1, 2, 5, 10, 20, 50, 100)
@@ -207,7 +206,7 @@ def _echo(value):
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
-    meta = {"artifact_version": ARTIFACT_VERSION}
+    meta = {"artifact_version": __version__}
     meta.update((f.name, _echo(value)) for f, value in _flat_fields(cfg))
     meta["timestamp"] = datetime.now(timezone.utc).isoformat()
     return meta

@@ -169,7 +169,7 @@ def weighted_matrix(A: DiscreteOperator) -> np.ndarray:
     def build():
         sz = np.sqrt(A.fz_weights)
         sx = np.sqrt(A.x_grid.weights)
-        return _read_only(sz[:, None] * A.kernel_matrix / sx[None, :])
+        return sz[:, None] * A.kernel_matrix / sx[None, :]
 
     return A.memo("weighted", build)
 

@@ -1,17 +1,13 @@
-import hashlib
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import npivlab.cli as cli
 from npivlab.estimators import NumericalError
 from npivlab.harness import load_csv
-from test_output_digests import WORKLOAD_CONFIGS
-from test_source_hygiene import _run_fresh
+from support import WORKLOADS, data_digest, fresh_env, recorded_digest, run_fresh
 
 
 def test_svd_subcommand_writes_csv(tmp_path, capsys):
@@ -275,14 +271,11 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     out = tmp_path / "svd.csv"
     # the child must import the same checkout, also when pytest put src/ on
     # sys.path through its own pythonpath setting rather than PYTHONPATH
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "npivlab.cli", "svd", "--out", str(out)],
         capture_output=True,
         text=True,
-        env=env,
+        env=fresh_env(),
     )
     assert proc.returncode == 0
     assert out.exists()
@@ -294,11 +287,11 @@ COLLECTOR_STATE = "import gc\n{}\nprint(gc.isenabled(), gc.get_freeze_count() > 
 
 
 def test_importing_the_cli_freezes_its_objects_and_leaves_the_collector_on():
-    assert _run_fresh(COLLECTOR_STATE.format("import npivlab.cli")) == "True True"
+    assert run_fresh(COLLECTOR_STATE.format("import npivlab.cli")) == "True True"
 
 
 def test_importing_the_library_leaves_the_collector_as_it_was():
-    assert _run_fresh(COLLECTOR_STATE.format("import npivlab.harness")) == "True False"
+    assert run_fresh(COLLECTOR_STATE.format("import npivlab.harness")) == "True False"
 
 
 def test_a_failed_cli_import_turns_the_collector_back_on():
@@ -306,26 +299,17 @@ def test_a_failed_cli_import_turns_the_collector_back_on():
         "import sys\nsys.modules['argparse'] = None\n"
         "try:\n    import npivlab.cli\nexcept ImportError:\n    print('ImportError')"
     )
-    assert _run_fresh(COLLECTOR_STATE.format(program)) == "ImportError\nTrue False"
+    assert run_fresh(COLLECTOR_STATE.format(program)) == "ImportError\nTrue False"
 
 
 def test_a_collector_the_importer_turned_off_stays_off():
     program = "gc.disable()\nimport npivlab.cli"
-    assert _run_fresh(COLLECTOR_STATE.format(program)) == "False True"
+    assert run_fresh(COLLECTOR_STATE.format(program)) == "False True"
 
 
-# The workloads of perfbench/run.py, montecarlo at seed 0, as (command,
-# config), with the configs of test_output_digests; perfbench/reference.json
+# The benchmark's workloads (perfbench/run.py) at seed 0, in one interpreter
+# that imports the command line as the console script does; reference.json
 # records their table digests.
-WORKLOAD_COMMANDS = {
-    "demo": "demo",
-    "compare": "compare",
-    "compare_n512": "compare",
-    "montecarlo": "montecarlo",
-}
-WORKLOAD_RUNS = {
-    name: (command, WORKLOAD_CONFIGS[name]) for name, command in WORKLOAD_COMMANDS.items()
-}
 RUN_WORKLOADS = """import json, os, sys
 import npivlab.cli
 for command, config, out in json.loads(sys.argv[1]):
@@ -340,29 +324,18 @@ def test_workload_tables_hold_their_digests_with_the_blas_spin_timeout(tmp_path)
     # call scipy's NNLS at the default thread count; this child imports
     # npivlab first, as the console script does, so its numpy reads the
     # timeout and its NNLS runs on the one-thread OpenBLAS the package loads
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_THREAD_TIMEOUT"):
-        env.pop(name, None)
     runs = []
-    for name, (command, config) in WORKLOAD_RUNS.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(config))
-        runs.append([command, str(tmp_path / f"{name}.json"), str(tmp_path / f"{name}.csv")])
+    for name, workload in WORKLOADS.items():
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(dict(workload.config, seed=0)))
+        runs.append([workload.command, str(config), str(tmp_path / f"{name}.csv")])
     proc = subprocess.run(
         [sys.executable, "-c", RUN_WORKLOADS, json.dumps(runs)],
         capture_output=True,
         text=True,
-        env=env,
+        env=fresh_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "26"
-    reference = Path(src).parent / "perfbench" / "reference.json"
-    recorded = json.loads(reference.read_text(encoding="utf-8"))["digests"]
-    for name, (_, config) in WORKLOAD_RUNS.items():
-        digest = recorded[name]
-        if "seed" in config:  # montecarlo's digests are recorded per seed
-            digest = digest[str(config["seed"])]
-        with open(tmp_path / f"{name}.csv", "rb") as handle:
-            data = b"".join(line for line in handle if not line.startswith(b"#"))
-        assert hashlib.sha256(data).hexdigest() == digest, name
+    for name in WORKLOADS:
+        assert data_digest(tmp_path / f"{name}.csv") == recorded_digest(name), name

@@ -1,12 +1,8 @@
 import dataclasses
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +31,7 @@ from npivlab.function_space import (
 )
 from npivlab.harness import config_from_mapping, run_experiment
 from npivlab.operators import apply, discretize, svd_report, weighted_matrix
+from support import WORKLOADS, rerun_at_one_blas_thread
 
 
 @pytest.fixture(scope="module")
@@ -265,22 +262,7 @@ class TestConstrained:
 
 # The benchmark's two comparison workloads (perfbench/run.py): the only runs
 # whose constrained solves fit multipliers.
-COMPARISONS = {
-    "compare": {
-        "experiment": "estimator_comparison",
-        "quadrature_size": 128,
-        "z_size": 128,
-        "lambdas": [1e-4],
-        "constraints": ["monotone_nondecreasing"],
-    },
-    "compare_n512": {
-        "experiment": "estimator_comparison",
-        "quadrature_size": 512,
-        "z_size": 512,
-        "lambdas": [1e-6, 1e-4, 1e-2],
-        "constraints": ["monotone_nondecreasing", "convex"],
-    },
-}
+COMPARISONS = {name: WORKLOADS[name].config for name in ("compare", "compare_n512")}
 
 
 @pytest.fixture(scope="module")
@@ -528,21 +510,10 @@ class TestSampledPlugin:
             np.testing.assert_array_equal(g, w)
 
     def test_slab_product_is_the_one_shot_product_at_one_blas_thread(self):
-        # a child, because OpenBLAS reads its thread count at numpy's import
-        here = Path(__file__).resolve()
         case = "TestSampledPlugin::" + (
             "test_slab_product_is_the_one_shot_product_on_the_benchmark_shape"
         )
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", f"{here}::{case}"],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=here.parents[1],
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "2 passed" in proc.stdout
+        rerun_at_one_blas_thread(__file__, [case], 2)
 
     @pytest.mark.parametrize("sizes", [(100, 48), (130, 130)])
     def test_ragged_last_slab_agrees_with_the_one_shot_product(self, sizes):

@@ -95,6 +95,16 @@ def test_grids_of_equal_size_and_rule_are_equal_and_keep_their_own_memos():
     assert naive_estimate(A, apply(A, on_b)).phi_hat.grid is a
 
 
+def test_the_memo_stores_an_array_read_only_and_other_values_as_built():
+    g = make_grid(8)
+    built = np.ones(3)
+    kept = g.memo("array", lambda: built)
+    assert kept is built and not kept.flags.writeable
+    assert g.memo("array", lambda: np.zeros(3)) is built
+    value = 0.25
+    assert g.memo("float", lambda: value) is value
+
+
 def test_a_grid_of_another_size_or_rule_is_a_mismatch():
     own = make_grid(8)
     A = DiscreteOperator(own, own, np.tile(own.weights, (8, 1)), own.weights)

@@ -1,10 +1,12 @@
 """Byte gate on the emitted tables: data rows must match the recorded digests.
 
-The configs are the benchmark workloads of ``perfbench/run.py`` (``montecarlo``
-at seed 0, and again at seed 63, so two independent draw sequences pass
-through the sampled plug-in); the recorded SHA-256 of each
-table's header and data rows (every line not starting with ``#``, so the
-timestamped metadata is ignored) is read from ``perfbench/reference.json``.
+The configs are the benchmark's own: ``tests/support.py`` imports the
+``WORKLOADS`` of ``perfbench/run.py`` and its data-row digest (the SHA-256 of
+a table's header and data rows, every line not starting with ``#``, so the
+timestamped metadata is ignored), and each config is run at seed 0 as the
+benchmark writes it, ``montecarlo`` again at seed 63 so that two independent
+draw sequences pass through the sampled plug-in. The recorded digests are
+read from ``perfbench/reference.json``, which must pin every workload.
 The default ``svd_report`` table, an ``estimator_comparison`` on unequal x
 and z grids with three constraint kinds, and the ``stability_probe`` rows,
 which no workload runs, are pinned by literal digests; the probe's
@@ -20,11 +22,6 @@ probe digests hold at both, and the last test checks them at one thread.
 """
 
 import hashlib
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -33,40 +30,16 @@ from npivlab.estimators import stability_probe
 from npivlab.function_space import make_grid
 from npivlab.harness import config_from_mapping, emit_csv, run_experiment
 from npivlab.operators import apply, discretize
+from support import (
+    RECORDED_DIGESTS,
+    WORKLOADS,
+    data_digest,
+    recorded_digest,
+    rerun_at_one_blas_thread,
+)
 
-REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-
-WORKLOAD_CONFIGS = {
-    "demo": {
-        "experiment": "illposedness_demo",
-        "quadrature_size": 128,
-        "inspection_size": 1001,
-        "family": "monotone",
-        "n_max": 100,
-        "epsilon": 0.1,
-    },
-    "compare": {
-        "experiment": "estimator_comparison",
-        "quadrature_size": 128,
-        "z_size": 128,
-        "lambdas": [1e-4],
-        "constraints": ["monotone_nondecreasing"],
-    },
-    "compare_n512": {
-        "experiment": "estimator_comparison",
-        "quadrature_size": 512,
-        "z_size": 512,
-        "lambdas": [1e-6, 1e-4, 1e-2],
-        "constraints": ["monotone_nondecreasing", "convex"],
-    },
-    "montecarlo": {
-        "experiment": "montecarlo",
-        "replications": 20,
-        "sample_size": 10000,
-        "lambdas": [1e-4],
-        "seed": 0,
-    },
-}
+# Each workload's config as perfbench/run.py's Bench writes it, at seed 0.
+WORKLOAD_CONFIGS = {name: dict(w.config, seed=0) for name, w in WORKLOADS.items()}
 
 SVD_REPORT_DIGEST = "b8488e80b2fba1a10f3f95de1eb8d9edc5169dc7c39304b1463f962f38462c9f"
 
@@ -87,33 +60,26 @@ MIXED_COMPARISON_DIGEST = "f1d6df91ea456dd2de25dc8f3cd358714e5e37f3ae6a987d44296
 STABILITY_PROBE_DIGEST = "b339330f89fed630bdde1a364010d2f56bcf8766e0fb5ba0e985a975cc8aba25"
 
 
-def _data_digest(path: Path) -> str:
-    with open(path, "rb") as handle:
-        data = b"".join(line for line in handle if not line.startswith(b"#"))
-    return hashlib.sha256(data).hexdigest()
-
-
-def _table_digest(config: dict, out: Path) -> str:
+def _table_digest(config: dict, out) -> str:
     emit_csv(run_experiment(config_from_mapping(config)), out)
-    return _data_digest(out)
+    return data_digest(out)
 
 
-def _recorded_digest(name: str, seed: int):
-    recorded = json.loads(REFERENCE.read_text(encoding="utf-8"))["digests"][name]
-    return recorded[str(seed)] if name == "montecarlo" else recorded
+def test_every_benchmark_workload_has_a_recorded_digest():
+    # a workload the benchmark gains or drops cannot go unpinned here
+    assert set(RECORDED_DIGESTS) == set(WORKLOADS)
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
 def test_table_bytes_match_recorded_digest(name, tmp_path):
-    config = WORKLOAD_CONFIGS[name]
-    recorded = _recorded_digest(name, config.get("seed", 0))
-    assert _table_digest(config, tmp_path / f"{name}.csv") == recorded
+    digest = _table_digest(WORKLOAD_CONFIGS[name], tmp_path / f"{name}.csv")
+    assert digest == recorded_digest(name)
 
 
 def test_montecarlo_bytes_at_a_second_seed_match_recorded_digest(tmp_path):
     config = dict(WORKLOAD_CONFIGS["montecarlo"], seed=63)
-    recorded = _recorded_digest("montecarlo", 63)
-    assert _table_digest(config, tmp_path / "montecarlo_63.csv") == recorded
+    digest = _table_digest(config, tmp_path / "montecarlo_63.csv")
+    assert digest == recorded_digest("montecarlo", 63)
 
 
 def test_svd_report_bytes_match_recorded_digest(tmp_path):
@@ -151,21 +117,9 @@ ONE_THREAD_CASES = (
 def test_thread_invariant_digests_hold_at_one_blas_thread():
     """Rerun ONE_THREAD_CASES in a child process at one BLAS thread.
 
-    A child, because OpenBLAS reads its thread count when numpy is imported.
     The compare, compare_n512 and both montecarlo cases are left out: at one
     thread the comparisons' Tikhonov rows (LU solve, eigvalsh floor) and
     montecarlo's plug-in kernel-block product round differently, so those
     four digests hold only at the default thread count.
     """
-    here = Path(__file__).resolve()
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    cases = [f"{here}::{case}" for case in ONE_THREAD_CASES]
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", *cases],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=here.parents[1],
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert f"{len(ONE_THREAD_CASES)} passed" in proc.stdout
+    rerun_at_one_blas_thread(__file__, ONE_THREAD_CASES, len(ONE_THREAD_CASES))

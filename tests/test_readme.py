@@ -4,12 +4,12 @@ is a valid config."""
 import dataclasses
 import json
 import re
-from pathlib import Path
 
 from npivlab.dgp import DgpSpec
 from npivlab.harness import ExperimentConfig, config_from_mapping
+from support import ROOT
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+README = ROOT / "README.md"
 PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
 JSON_BLOCK = re.compile(r"^```json\n(.*?)^```", re.M | re.S)
 

@@ -9,14 +9,10 @@ claim of the test suite rests on it.
 
 import ast
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "npivlab"
-MODULES = sorted(SOURCE.glob("*.py"))
+from support import MODULES, TREES, run_fresh
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -38,8 +34,7 @@ def test_package_modules_are_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    assert _unused_imports(tree) == [], f"unused imports in {path.name} (line, name)"
+    assert _unused_imports(TREES[path.name]) == [], f"unused imports in {path.name} (line, name)"
 
 
 # Public names that no package module reads, kept because a checked claim
@@ -76,14 +71,10 @@ def _references(tree: ast.Module) -> set:
 
 
 def test_every_public_name_is_read_in_the_package():
-    trees = {
-        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in MODULES
-    }
-    used = set().union(*(_references(tree) for tree in trees.values()))
+    used = set().union(*(_references(tree) for tree in TREES.values()))
     unread = {
         (module, name)
-        for module, tree in trees.items()
+        for module, tree in TREES.items()
         for name in _public_definitions(tree)
         if name not in used
     }
@@ -120,15 +111,14 @@ def _qualname(node, parents) -> str:
     return ".".join(reversed(names))
 
 
-def _svd_sites(path: Path) -> list:
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+def _svd_sites(name: str, tree: ast.Module) -> list:
     parents = _parents(tree)
     sites = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
             for alias in node.names:
                 if alias.name == "svd":
-                    sites.append((path.name, "import", node.lineno))
+                    sites.append((name, "import", node.lineno))
         if isinstance(node, ast.Attribute) and node.attr == "svd":
             if ast.unparse(node.value).endswith("linalg"):
                 branch = next(
@@ -139,12 +129,12 @@ def _svd_sites(path: Path) -> list:
                     ),
                     None,
                 )
-                sites.append((path.name, _qualname(node, parents), branch))
+                sites.append((name, _qualname(node, parents), branch))
     return sites
 
 
 def test_svd_is_called_only_at_the_operator_factorization():
-    sites = [site for path in MODULES for site in _svd_sites(path)]
+    sites = [site for name, tree in TREES.items() for site in _svd_sites(name, tree)]
     assert sorted(sites, key=str) == SVD_SITES
 
 
@@ -182,19 +172,15 @@ def _calls_outside_memo(tree: ast.Module, name: str) -> list:
 
 
 def test_differentiation_matrices_are_built_only_through_a_memo():
-    trees = {
-        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in MODULES
-    }
     calls = [
         name
-        for name, tree in trees.items()
+        for name, tree in TREES.items()
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "differentiation_matrix"
     ]
     # sobolev_norm's matrix and the Tikhonov penalty's Gram
     assert sorted(calls) == ["estimators.py", "function_space.py"]
-    for name, tree in trees.items():
+    for name, tree in TREES.items():
         assert _calls_outside_memo(tree, "differentiation_matrix") == [], name
 
 
@@ -225,16 +211,12 @@ def _functools_caches(tree: ast.Module) -> list:
 
 
 def test_one_memo_and_no_functools_caches():
-    trees = {
-        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in MODULES
-    }
-    assert {name: _functools_caches(tree) for name, tree in trees.items()} == {
-        name: [] for name in trees
+    assert {name: _functools_caches(tree) for name, tree in TREES.items()} == {
+        name: [] for name in TREES
     }
     memos = [
         name
-        for name, tree in trees.items()
+        for name, tree in TREES.items()
         for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef) and node.name == "memo"
     ]
@@ -285,13 +267,10 @@ def _attribute_reads(tree: ast.Module) -> set:
 
 
 def test_every_dataclass_field_is_read_in_the_package():
-    trees = [
-        ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in MODULES
-    ]
-    read = set().union(*(_attribute_reads(tree) for tree in trees))
+    read = set().union(*(_attribute_reads(tree) for tree in TREES.values()))
     unread = {
         f"{cls}.{name}"
-        for tree in trees
+        for tree in TREES.values()
         for cls, name in _dataclass_fields(tree)
         if name not in read
     }
@@ -350,10 +329,7 @@ def _value_compared_array_fields(trees: list) -> list:
 
 
 def test_array_fields_are_never_compared_by_value():
-    trees = [
-        ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in MODULES
-    ]
-    assert _value_compared_array_fields(trees) == []
+    assert _value_compared_array_fields(TREES.values()) == []
 
 
 def test_the_array_census_sees_value_comparison():
@@ -407,10 +383,7 @@ def _unpassed_defaults(trees: list) -> set:
 
 
 def test_every_defaulted_parameter_is_passed_in_the_package():
-    trees = [
-        ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in MODULES
-    ]
-    assert _unpassed_defaults(trees) == DEFAULTED_BUT_PASSED_OUTSIDE
+    assert _unpassed_defaults(TREES.values()) == DEFAULTED_BUT_PASSED_OUTSIDE
 
 
 def test_the_default_census_sees_position_keyword_and_unpacking():
@@ -424,35 +397,31 @@ def test_the_default_census_sees_position_keyword_and_unpacking():
     assert _unpassed_defaults([tree]) == {"f.c"}
 
 
-# Shape constraints have one owner: function_space forms the differences that
-# ConstraintSet.rows enforces and check_shape verifies, so no other module
-# takes differences of grid values.
-def _numpy_diff_lines(tree: ast.Module) -> list:
-    """Lines calling numpy's diff, as np.diff, numpy.diff or an imported diff."""
+def _numpy_calls(tree: ast.Module, function: str) -> list:
+    """Lines calling numpy's ``function``, as np.f, numpy.f or an imported f."""
     imported = {
         alias.asname or alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module == "numpy"
         for alias in node.names
-        if alias.name == "diff"
+        if alias.name == function
     }
     return [
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and (
-            ast.unparse(node.func) in {"np.diff", "numpy.diff"}
+            ast.unparse(node.func) in {f"np.{function}", f"numpy.{function}"}
             or (isinstance(node.func, ast.Name) and node.func.id in imported)
         )
     ]
 
 
+# Shape constraints have one owner: function_space forms the differences that
+# ConstraintSet.rows enforces and check_shape verifies, so no other module
+# takes differences of grid values.
 def test_differences_are_taken_only_in_function_space():
-    users = {
-        path.name
-        for path in MODULES
-        if _numpy_diff_lines(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-    }
+    users = {name for name, tree in TREES.items() if _numpy_calls(tree, "diff")}
     assert users == {"function_space.py"}
 
 
@@ -462,7 +431,7 @@ def test_the_difference_census_sees_every_spelling():
         "np.diff(v)\nnumpy.diff(v, n=2)\nd(v)\n"
         "v.diff()\nnp.gradient(v)\ndiff(v)\n"
     )
-    assert _numpy_diff_lines(tree) == [4, 5, 6]
+    assert _numpy_calls(tree, "diff") == [4, 5, 6]
 
 
 # The inspection rule has one owner too: a ConstraintSet derives its equally
@@ -470,33 +439,16 @@ def test_the_difference_census_sees_every_spelling():
 # other module spaces points evenly or reads a difference order.
 def _inspection_rule_lines(tree: ast.Module) -> list:
     """Lines reading .difference_order or calling numpy's linspace."""
-    imported = {
-        alias.asname or alias.name
+    reads = [
+        node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "numpy"
-        for alias in node.names
-        if alias.name == "linspace"
-    }
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "difference_order":
-            found.append(node.lineno)
-        elif isinstance(node, ast.Call) and (
-            ast.unparse(node.func) in {"np.linspace", "numpy.linspace"}
-            or (isinstance(node.func, ast.Name) and node.func.id in imported)
-        ):
-            found.append(node.lineno)
-    return sorted(found)
+        if isinstance(node, ast.Attribute) and node.attr == "difference_order"
+    ]
+    return sorted(reads + _numpy_calls(tree, "linspace"))
 
 
 def test_only_function_space_spaces_inspection_nodes():
-    users = {
-        path.name
-        for path in MODULES
-        if _inspection_rule_lines(
-            ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        )
-    }
+    users = {name for name, tree in TREES.items() if _inspection_rule_lines(tree)}
     assert users == {"function_space.py"}
 
 
@@ -524,11 +476,7 @@ def _result_table_builders(tree: ast.Module) -> list:
 
 def test_only_the_table_helper_builds_a_result_table():
     builders = [
-        (path.name, name)
-        for path in MODULES
-        for name in _result_table_builders(
-            ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        )
+        (module, name) for module, tree in TREES.items() for name in _result_table_builders(tree)
     ]
     assert builders == [("harness.py", "_table")]
 
@@ -543,15 +491,11 @@ def test_the_table_census_sees_a_direct_call():
     assert _result_table_builders(tree) == ["_table", "run_x", "run_y"]
 
 
-# scipy.optimize and scipy.special cost about half a second of import in
-# every run for two kernels; the package loads scipy's compiled NNLS and ndtr
-# from their extension files instead, each at its first call, and imports no
-# scipy module.
-def _scipy_imports(tree: ast.Module) -> list:
-    """Lines importing scipy or anything inside it."""
+def _imports_of(tree: ast.Module, package: str) -> list:
+    """Lines importing ``package`` or anything inside it, absolutely."""
 
     def inside(module: str) -> bool:
-        return module == "scipy" or module.startswith("scipy.")
+        return module == package or module.startswith(package + ".")
 
     found = []
     for node in ast.walk(tree):
@@ -563,13 +507,13 @@ def _scipy_imports(tree: ast.Module) -> list:
     return found
 
 
+# scipy.optimize and scipy.special cost about half a second of import in
+# every run for two kernels; the package loads scipy's compiled NNLS and ndtr
+# from their extension files instead, each at its first call, and imports no
+# scipy module.
 def test_no_package_module_imports_scipy():
-    trees = {
-        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in MODULES
-    }
-    assert {name: _scipy_imports(tree) for name, tree in trees.items()} == {
-        name: [] for name in trees
+    assert {name: _imports_of(tree, "scipy") for name, tree in TREES.items()} == {
+        name: [] for name in TREES
     }
 
 
@@ -580,29 +524,14 @@ def test_the_scipy_census_sees_every_spelling():
         "import scipy.special\nfrom scipy import special\nimport scipy\n"
         "from .optimize import x\nimport scipyx\nfind_spec('scipy')\n"
     )
-    assert _scipy_imports(tree) == [1, 2, 3, 4, 5, 6, 7]
+    assert _imports_of(tree, "scipy") == [1, 2, 3, 4, 5, 6, 7]
 
 
 # The command line freezes its import-time objects and switches the collector
 # off while they load; a library module must never change the collector of
 # the process that imports it.
-def _gc_imports(tree: ast.Module) -> list:
-    """Lines importing gc."""
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            found += [node.lineno for a in node.names if a.name == "gc"]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "gc":
-            found.append(node.lineno)
-    return found
-
-
 def test_only_the_command_line_imports_gc():
-    users = {
-        path.name
-        for path in MODULES
-        if _gc_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-    }
+    users = {name for name, tree in TREES.items() if _imports_of(tree, "gc")}
     assert users == {"cli.py"}
 
 
@@ -611,37 +540,18 @@ def test_the_gc_census_sees_every_spelling():
         "import gc\nfrom gc import freeze\nimport os, gc as g\n"
         "from . import gc\nimport gcx\ngc.collect()\n"
     )
-    assert _gc_imports(tree) == [1, 2, 3]
-
-
-def _run_fresh(program: str, *args: str) -> str:
-    """Run ``program`` with ``args`` in a fresh interpreter that imports
-    npivlab from src, with the BLAS thread counts and spin timeout a user gets
-    by default; return its stdout."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SOURCE.parent), os.environ.get("PYTHONPATH")) if p
-    ))
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_THREAD_TIMEOUT"):
-        env.pop(name, None)
-    done = subprocess.run(
-        [sys.executable, "-c", program, *args],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return done.stdout.strip()
+    assert _imports_of(tree, "gc") == [1, 2, 3]
 
 
 SCIPY_MODULES = "import sys\n{}\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
 
 
 def test_importing_the_cli_leaves_scipy_optimize_unloaded():
-    assert _run_fresh(SCIPY_MODULES.format("import npivlab.cli")) == "[]"
+    assert run_fresh(SCIPY_MODULES.format("import npivlab.cli")) == "[]"
 
 
 def test_the_scipy_module_probe_sees_a_package_import():
-    assert "'scipy.special'" in _run_fresh(SCIPY_MODULES.format("import scipy.special"))
+    assert "'scipy.special'" in run_fresh(SCIPY_MODULES.format("import scipy.special"))
 
 
 # A command loads the compiled kernels it calls and no others: the constrained
@@ -658,7 +568,7 @@ LOADED_BY_COMMAND = {
 @pytest.mark.parametrize("command", LOADED_BY_COMMAND)
 def test_a_command_loads_only_the_compiled_kernels_it_calls(tmp_path, command):
     out = str(tmp_path / f"{command}.csv")
-    loaded = _run_fresh(SCIPY_MODULES.format(RUN_COMMAND), command, "--out", out)
+    loaded = run_fresh(SCIPY_MODULES.format(RUN_COMMAND), command, "--out", out)
     assert loaded.splitlines()[-1] == str(LOADED_BY_COMMAND[command])
 
 
@@ -683,12 +593,13 @@ nnls(np.eye(2), np.ones(2), 10)"""
 SPIN_CPU_LIMIT_S = 0.010
 
 
-def _spin_cpu_s(load: str) -> float:
+def _spin_cpu_s(load: str, pick=min) -> float:
     """CPU seconds the process burns in a 100 ms sleep right after ``load``,
-    the least of three fresh interpreters: a busy host can delay the start of
-    the worker thread, and with it the spin, in one run, while a wrong load
-    spins in every run."""
-    return min(float(_run_fresh(SPIN_PROBE.format(load))) for _ in range(3))
+    in three fresh interpreters, of which ``pick`` takes one. A busy host can
+    delay the start of the worker thread, and with it the spin, in one run:
+    a probe that no thread spins takes the least, since a wrong load spins in
+    every run, and a control that a thread does spin takes the greatest."""
+    return pick(float(run_fresh(SPIN_PROBE.format(load))) for _ in range(3))
 
 
 def test_importing_the_cli_leaves_no_thread_spinning():
@@ -706,7 +617,7 @@ AT_THE_DEFAULT_COUNT = "os.environ['OPENBLAS_NUM_THREADS'] = str(os.cpu_count())
 
 @pytest.mark.skipif(os.cpu_count() < 2, reason="one CPU: OpenBLAS starts no worker thread")
 def test_the_spin_probe_sees_nnls_loaded_at_the_default_thread_count():
-    assert _spin_cpu_s(FIRST_NNLS.format(AT_THE_DEFAULT_COUNT)) > SPIN_CPU_LIMIT_S
+    assert _spin_cpu_s(FIRST_NNLS.format(AT_THE_DEFAULT_COUNT), pick=max) > SPIN_CPU_LIMIT_S
 
 
 ENVIRONMENT_PROBE = """import os
@@ -719,24 +630,24 @@ print(dict(os.environ) == before, os.environ.get('OPENBLAS_NUM_THREADS'))"""
 
 
 def test_the_first_nnls_call_leaves_the_environment_as_it_found_it():
-    assert _run_fresh(ENVIRONMENT_PROBE.format("")) == "True None"
+    assert run_fresh(ENVIRONMENT_PROBE.format("")) == "True None"
 
 
 def test_a_users_blas_thread_count_is_kept():
     preset = "os.environ['OPENBLAS_NUM_THREADS'] = '2'"
-    assert _run_fresh(ENVIRONMENT_PROBE.format(preset)) == "True 2"
+    assert run_fresh(ENVIRONMENT_PROBE.format(preset)) == "True 2"
 
 
 TIMEOUT_PROBE = "import os\n{}\nprint(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
 
 
 def test_importing_npivlab_sets_the_blas_spin_timeout():
-    assert _run_fresh(TIMEOUT_PROBE.format("import npivlab")) == "26"
+    assert run_fresh(TIMEOUT_PROBE.format("import npivlab")) == "26"
 
 
 def test_a_users_blas_spin_timeout_is_kept():
     preset = "os.environ['OPENBLAS_THREAD_TIMEOUT'] = '28'\nimport npivlab"
-    assert _run_fresh(TIMEOUT_PROBE.format(preset)) == "28"
+    assert run_fresh(TIMEOUT_PROBE.format(preset)) == "28"
 
 
 # A product big enough to wake numpy's BLAS workers; at OpenBLAS's default
@@ -770,11 +681,7 @@ def _solver_mentions(tree: ast.Module) -> list:
 
 
 def test_only_estimators_names_the_solvers():
-    users = {
-        path.name
-        for path in MODULES
-        if _solver_mentions(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-    }
+    users = {name for name, tree in TREES.items() if _solver_mentions(tree)}
     assert users == {"estimators.py"}
 
 
