@@ -38,8 +38,9 @@ _LATTICE = 512
 # 1989), the source of scipy.special.ndtri, whose bytes ndtri below keeps on
 # [_CLIP, 1 - _CLIP], away from the poles at 0 and 1. P0/Q0 serve the centre
 # |y - 1/2| <= 1/2 - exp(-2); P1/Q1 the tails in 1/x, x = sqrt(-2 log y) <= 7.43
-# (Cephes's P2/Q2, for x >= 8, are out of reach). Each Q leads with Cephes's
-# implied 1, and 1 * x is exact, so _polevl gives p1evl's bytes too.
+# (Cephes's P2/Q2, for x >= 8, are out of reach). np.polyval is polevl's Horner
+# rule from 0, and 0 * x + c0 = c0; each Q leads with Cephes's implied 1, and
+# 1 * x is exact, so it gives p1evl's bytes too.
 _CLIP = 1e-12
 _EXP_M2 = 0.13533528323661269189
 _S2PI = 2.50662827463100050242
@@ -58,13 +59,6 @@ _Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672
 _LOG = np.frompyfunc(math.log, 1, 1)
 
 
-def _polevl(x, coef):
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
 def ndtri(p):
     """Inverse of the standard normal cdf at p clipped to [1e-12, 1 - 1e-12],
     bit-equal to scipy.special.ndtri on that domain."""
@@ -75,12 +69,12 @@ def ndtri(p):
     centre = y > _EXP_M2
     t = y[centre] - 0.5
     t2 = t * t
-    out[centre] = (t + t * (t2 * _polevl(t2, _P0) / _polevl(t2, _Q0))) * _S2PI
+    out[centre] = (t + t * (t2 * np.polyval(_P0, t2) / np.polyval(_Q0, t2))) * _S2PI
     tail = ~centre
     x = np.sqrt(-2.0 * _LOG(y[tail]).astype(float))
     x0 = x - _LOG(x).astype(float) / x
     z = 1.0 / x
-    x = x0 - z * _polevl(z, _P1) / _polevl(z, _Q1)
+    x = x0 - z * np.polyval(_P1, z) / np.polyval(_Q1, z)
     out[tail] = np.where(upper[tail], x, -x)
     return out
 

@@ -233,24 +233,16 @@ def _solve_inequality_qp(S: np.ndarray, d: np.ndarray, Acon: np.ndarray, maxit: 
             if stat <= 1e-8 * grad_scale:
                 return y, mu, it, True
             q = S * residual_dir
-            denom = 2.0 * float(q @ q)
-            # Both exits below leave y where mu was just fitted, so best
-            # already holds the certificate a final fit would give.
-            if denom <= 0.0:
-                return best[1], best[2], it, False
-            step_unc = -float(grad @ residual_dir) / denom
+            # q @ q > (1e-20 * S[0])**2 > 0: stat > 1e-8 and each S > 1e-12 * S[0]
+            step_unc = -float(grad @ residual_dir) / (2.0 * float(q @ q))
             along = Acon @ residual_dir
             # rows where the direction points inward only by NNLS rounding
             # noise are not treated as blocking
             thresh = -1e-9 * max(1.0, float(np.abs(along).max()))
             blocking = along < thresh
-            if blocking.any():
-                step_max = float(
-                    np.min(np.maximum(-slack[blocking], 0.0) / (-along[blocking]))
-                )
-            else:
-                step_max = np.inf
-            alpha = min(step_unc, step_max)
+            ratios = np.maximum(-slack[blocking], 0.0) / (-along[blocking])
+            alpha = min(step_unc, float(np.min(ratios, initial=np.inf)))
+            # y is where mu was just fitted, so best already holds its certificate
             if not np.isfinite(alpha) or alpha <= 1e-16:
                 return best[1], best[2], it, False
             y = y + alpha * residual_dir
@@ -260,12 +252,9 @@ def _solve_inequality_qp(S: np.ndarray, d: np.ndarray, Acon: np.ndarray, maxit: 
         along = Acon @ p
         mask = along < -1e-13
         mask[work] = False
-        if mask.any():
-            ratios = np.where(mask, -slack / np.where(mask, along, -1.0), np.inf)
-            np.clip(ratios, 0.0, None, out=ratios)
-            step_max = float(ratios.min())
-        else:
-            step_max = np.inf
+        ratios = np.where(mask, -slack / np.where(mask, along, -1.0), np.inf)
+        np.clip(ratios, 0.0, None, out=ratios)
+        step_max = float(ratios.min())
         if step_max < 1.0:
             y = y + step_max * p
             entering = int(np.argmin(ratios))

@@ -3,7 +3,8 @@
 It holds the paths of the checkout, each package module parsed once, the
 benchmark's own workloads and data-row digest (imported from ``perfbench/``,
 so the byte gate runs exactly the configs the benchmark runs and hashes the
-rows the same way), and the runners of fresh interpreters.
+rows the same way), the runners of fresh interpreters, and a reader of table
+rows by column name.
 """
 
 import ast
@@ -75,3 +76,9 @@ def rerun_at_one_blas_thread(test_file: str, cases, passed: int) -> None:
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert f"{passed} passed" in proc.stdout, proc.stdout
+
+
+def named_rows(table) -> list:
+    """The rows of a ResultTable as {column: cell} dicts, so a test reads a
+    cell by its column's name and an inserted column shifts nothing."""
+    return [dict(zip(table.columns, row)) for row in table.rows]

@@ -11,6 +11,7 @@ from npivlab.dgp import DgpSpec, make_dgp
 from npivlab.estimators import DegenerateSampleError
 from npivlab.function_space import ConstraintSet, ShapeConstraint, make_grid, sobolev_norm
 from npivlab.harness import (
+    COMPARISON_N_VALUES,
     DEMO_SHAPES,
     ConfigError,
     ExperimentConfig,
@@ -28,6 +29,7 @@ from npivlab.harness import (
 from npivlab.dgp import phi0_on_grid
 from npivlab.function_space import Grid, GridFunction
 from npivlab.operators import discretize, svd_report
+from support import named_rows
 
 
 def demo_config(**overrides):
@@ -288,9 +290,8 @@ class TestEstimatorComparison:
     def test_regularization_beats_constraints_alone(self, comparison):
         _, table = comparison
         err = {}
-        for row in table.rows:
-            n, lam, solver = row[0], row[1], row[2]
-            err[(n, solver)] = row[3]
+        for row in named_rows(table):
+            err[(row["n"], row["solver"])] = row["error"]
         assert err[(50, "tir")] < err[(50, "constrained")]
         assert err[(100, "tir")] < err[(100, "constrained")]
 
@@ -300,23 +301,56 @@ class TestEstimatorComparison:
         zgrid = make_grid(cfg.z_size)
         A = discretize(make_dgp(cfg.dgp), grid, zgrid)
         smallest = svd_report(A).singular_values[A.svd.rank - 1]
-        for row in table.rows:
-            if row[2] == "naive":
-                assert math.isclose(row[7], smallest, rel_tol=1e-9)
+        for row in named_rows(table):
+            if row["solver"] == "naive":
+                assert math.isclose(row["condition_diagnostic"], smallest, rel_tol=1e-9)
 
     def test_constant_direction_is_benign(self, comparison):
         _, table = comparison
-        errs = [row[3] for row in table.rows if row[0] == 0]
+        errs = [row["error"] for row in named_rows(table) if row["n"] == 0]
         assert max(errs) <= 2 * min(errs)
 
     def test_constrained_rows_are_certified(self, comparison):
         _, table = comparison
-        rows = [row for row in table.rows if row[2] == "constrained"]
+        rows = [row for row in named_rows(table) if row["solver"] == "constrained"]
         assert rows
         for row in rows:
-            assert row[5] <= 1e-6
-            assert row[6] is True or row[6] == True  # noqa: E712
-            assert row[8]
+            assert row["kkt_residual"] <= 1e-6
+            assert row["constraints_ok"] is True or row["constraints_ok"] == True  # noqa: E712
+            assert row["converged"]
+
+    @pytest.mark.parametrize(
+        "family, shape", [("nonneg", "convex"), ("monotone", "monotone_nondecreasing")]
+    )
+    def test_constrained_estimate_moves_by_epsilon_while_the_data_move_by_root_q(
+        self, family, shape
+    ):
+        # The paper's title claim for its estimator. The data are noiseless
+        # and phi0 + eps psi_n is in the set, so a certified lambda = 0 solve
+        # moves the estimate by ||eps psi_n|| = eps while the data move by
+        # sqrt(q_n), the demo's q_infty. The worst deviation from both closed
+        # forms measured at N = 128 is 2.66e-3 (nonneg, n = 50) and 1.0e-4
+        # for the monotone pair; the bound is about twice that. The deviation
+        # is the grid's: at N = 512 the amplification check reads 0.9997-1.0000.
+        settings = dict(
+            dgp=DgpSpec(rho=0.5), quadrature_size=128, z_size=128,
+            family=family, constraints=(shape,), epsilon=0.1,
+        )
+        cfg = ExperimentConfig(experiment="estimator_comparison", **settings)
+        table = run_estimator_comparison(cfg)
+        demo = run_illposedness_demo(ExperimentConfig(experiment="illposedness_demo", **settings))
+        # the demo row's verdict is check_shape(phi0 + eps psi_n) for this shape
+        in_set = {"convex": "convex_ok", "monotone_nondecreasing": "monotone_ok"}[shape]
+        demo_rows = {row["n"]: row for row in named_rows(demo)}
+        rows = [row for row in named_rows(table) if row["solver"] == "constrained"]
+        assert [row["n"] for row in rows] == list(COMPARISON_N_VALUES)
+        for row in rows:
+            n = row["n"]
+            assert demo_rows[n][in_set] is True, n
+            assert row["converged"], n
+            q = demo_rows[n]["q_infty"]
+            assert abs(row["amplification"] * math.sqrt(q) / cfg.epsilon - 1.0) <= 5e-3, n
+            assert abs(row["error"] / cfg.epsilon - 1.0) <= 5e-3, n
 
 
 def mc_config(**overrides):
@@ -353,11 +387,13 @@ class TestMontecarlo:
         table = run_montecarlo(mc_config())
         rows = [
             row
-            for row in table.rows
-            if row[0] == "replication" and row[4] == "tir" and row[6] == "ok"
+            for row in named_rows(table)
+            if row["row_kind"] == "replication"
+            and row["solver"] == "tir"
+            and row["status"] == "ok"
         ]
         assert len(rows) == 1
-        assert rows[0][5] < 0.1
+        assert rows[0]["interior_error"] < 0.1
 
     def test_same_seed_reproduces_rows(self):
         cfg = mc_config(replications=3, sample_size=500)
@@ -368,27 +404,32 @@ class TestMontecarlo:
     def test_naive_mean_error_exceeds_tir_mean_error(self):
         table = run_montecarlo(mc_config(replications=20, sample_size=1_000))
         means = {
-            row[4]: row[5]
-            for row in table.rows
-            if row[0] == "mean" and row[6] == "summary"
+            row["solver"]: row["interior_error"]
+            for row in named_rows(table)
+            if row["row_kind"] == "mean" and row["status"] == "summary"
         }
         assert means["naive"] > means["tir"]
 
     def test_summary_rows_recompute_from_replication_rows(self):
         table = run_montecarlo(mc_config(replications=5, sample_size=500))
+        rows = named_rows(table)
         for solver in ("naive", "tir"):
             errs = [
-                row[5]
-                for row in table.rows
-                if row[0] == "replication" and row[4] == solver and row[6] == "ok"
+                row["interior_error"]
+                for row in rows
+                if row["row_kind"] == "replication"
+                and row["solver"] == solver
+                and row["status"] == "ok"
             ]
             mean = [
-                row[5]
-                for row in table.rows
-                if row[0] == "mean" and row[4] == solver
+                row["interior_error"]
+                for row in rows
+                if row["row_kind"] == "mean" and row["solver"] == solver
             ][0]
             sd = [
-                row[5] for row in table.rows if row[0] == "sd" and row[4] == solver
+                row["interior_error"]
+                for row in rows
+                if row["row_kind"] == "sd" and row["solver"] == solver
             ][0]
             assert math.isclose(mean, float(np.mean(errs)), rel_tol=1e-15)
             assert math.isclose(sd, float(np.std(errs, ddof=1)), rel_tol=1e-12)
@@ -410,25 +451,25 @@ class TestMontecarlo:
             return real(draws, x_grid, z_grid)
 
         monkeypatch.setattr(harness_mod, "sampled_plugin", flaky)
-        table = run_montecarlo(cfg)
+        rows = named_rows(run_montecarlo(cfg))
         assert calls == [0, 1, 2]
-        degenerate = [row for row in table.rows if row[6] == "degenerate"]
-        assert {row[1] for row in degenerate} == {1}
-        assert all(math.isnan(row[5]) for row in degenerate)
-        ok = [row for row in table.rows if row[0] == "replication" and row[6] == "ok"]
-        assert {row[1] for row in ok} == {0, 2}
-        means = [row for row in table.rows if row[0] == "mean"]
-        assert means and all(math.isfinite(row[5]) for row in means)
+        degenerate = [row for row in rows if row["status"] == "degenerate"]
+        assert {row["replication"] for row in degenerate} == {1}
+        assert all(math.isnan(row["interior_error"]) for row in degenerate)
+        ok = [row for row in rows if row["row_kind"] == "replication" and row["status"] == "ok"]
+        assert {row["replication"] for row in ok} == {0, 2}
+        means = [row for row in rows if row["row_kind"] == "mean"]
+        assert means and all(math.isfinite(row["interior_error"]) for row in means)
         # every replication degenerate: the run still returns its table, and
         # the summary rows have nothing to average
         calls.clear()
         degenerate_calls.update(range(cfg.replications))
-        table = run_montecarlo(cfg)
-        replications = [row for row in table.rows if row[0] == "replication"]
+        rows = named_rows(run_montecarlo(cfg))
+        replications = [row for row in rows if row["row_kind"] == "replication"]
         assert len(replications) == 6
-        assert all(row[6] == "degenerate" for row in replications)
-        summary = [row for row in table.rows if row[0] in ("mean", "sd")]
-        assert len(summary) == 4 and all(math.isnan(row[5]) for row in summary)
+        assert all(row["status"] == "degenerate" for row in replications)
+        summary = [row for row in rows if row["row_kind"] in ("mean", "sd")]
+        assert len(summary) == 4 and all(math.isnan(row["interior_error"]) for row in summary)
 
     def test_previous_operator_is_released_before_the_next_sample(self, monkeypatch):
         # each operator carries its cached factorizations; keeping it alive
@@ -487,14 +528,14 @@ class TestMontecarlo:
         )
 
         def replication_rows(table):
-            return [row for row in table.rows if row[0] == "replication"]
+            return [row for row in named_rows(table) if row["row_kind"] == "replication"]
 
         tail = [
-            (row[0], row[1] - 1) + row[2:]
+            dict(row, replication=row["replication"] - 1)
             for row in replication_rows(longer)
-            if row[1] >= 1
+            if row["replication"] >= 1
         ]
-        assert [row[1] for row in replication_rows(longer)] == [0, 0, 1, 1, 2, 2]
+        assert [row["replication"] for row in replication_rows(longer)] == [0, 0, 1, 1, 2, 2]
         assert tail == replication_rows(shifted)
 
 
@@ -505,11 +546,12 @@ class TestCsv:
         metadata, columns, rows = load_csv(path)
         assert columns == demo_independent.columns
         assert len(rows) == 101
-        for raw, original in zip(rows, demo_independent.rows):
-            assert int(raw[0]) == original[0]
-            for j in (1, 2, 3, 4, 5):
+        parsed = named_rows(ResultTable(columns, rows, metadata))
+        for raw, original in zip(parsed, named_rows(demo_independent)):
+            assert int(raw["n"]) == original["n"]
+            for j in ("l2_dist", "q_infty", "analytic_bound", "sup_A_psi", "sobolev_norm_phi_n"):
                 assert float(raw[j]) == original[j]
-            for j in (6, 7, 8):
+            for j in ("monotone_ok", "nonneg_ok", "convex_ok"):
                 assert raw[j] == ("true" if original[j] else "false")
 
     def test_metadata_echoes_every_config_field(self, tmp_path, demo_independent):

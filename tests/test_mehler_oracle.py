@@ -95,9 +95,7 @@ def demo_table(rho: float, size: int):
 
 
 def demo_column(name: str, rho: float, size: int) -> np.ndarray:
-    table = demo_table(rho, size)
-    column = table.columns.index(name)
-    return np.array([row[column] for row in table.rows])
+    return np.array(demo_table(rho, size).column(name))
 
 
 def test_oracle_converges_in_the_hermite_rule():

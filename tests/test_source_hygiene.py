@@ -12,7 +12,8 @@ import os
 
 import pytest
 
-from support import MODULES, TREES, run_fresh
+import npivlab
+from support import MODULES, ROOT, TREES, run_fresh
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -30,6 +31,13 @@ def _unused_imports(tree: ast.Module) -> list:
 
 def test_package_modules_are_found():
     assert len(MODULES) >= 8
+
+
+def test_the_package_and_its_metadata_spell_one_version():
+    tomllib = pytest.importorskip("tomllib")  # the standard library's from 3.11
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    assert project["version"] == npivlab.__version__
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
