@@ -24,11 +24,9 @@ from .function_space import Grid, GridFunction
 # polynomial interpolant on the Gauss grid, which is exact or spectrally
 # accurate only for an analytic function; so phi0 is one of these closed forms.
 _PHI0 = {
-    "square": lambda x: np.asarray(x, dtype=float) ** 2,
-    "linear": lambda x: np.asarray(x, dtype=float),
-    "affine_plus_exp": lambda x: np.asarray(x, dtype=float) + 0.25 * np.expm1(
-        np.asarray(x, dtype=float)
-    ),
+    "square": lambda x: x**2,
+    "linear": lambda x: x,
+    "affine_plus_exp": lambda x: x + 0.25 * np.expm1(x),
 }
 PHI0_CHOICES = tuple(_PHI0)
 
@@ -96,13 +94,8 @@ class DgpSpec:
             raise ValueError(f"noise_sd must be a finite number >= 0, got {self.noise_sd!r}")
 
 
-def phi0_callable(spec: DgpSpec):
-    """Return phi0 as a vectorized callable on [0, 1]."""
-    return _PHI0[spec.phi0]
-
-
 def phi0_on_grid(spec: DgpSpec, grid: Grid) -> GridFunction:
-    return GridFunction(grid, phi0_callable(spec)(grid.nodes))
+    return GridFunction(grid, _PHI0[spec.phi0](grid.nodes))
 
 
 @dataclass(frozen=True)
@@ -167,7 +160,7 @@ def sample(dgp: Dgp, m: int, seed: int) -> Sample:
     ndtr = _load_compiled("special", "_special_ufuncs").ndtr
     x = ndtr(v)
     z = ndtr(w)
-    y = phi0_callable(dgp.spec)(x)
+    y = _PHI0[dgp.spec.phi0](x)
     if dgp.spec.noise_sd > 0:
         y = y + dgp.spec.noise_sd * rng.standard_normal(m)
     return Sample(x=x, y=y, z=z)

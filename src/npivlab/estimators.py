@@ -243,7 +243,7 @@ def _solve_inequality_qp(S: np.ndarray, d: np.ndarray, Acon: np.ndarray, maxit: 
             ratios = np.maximum(-slack[blocking], 0.0) / (-along[blocking])
             alpha = min(step_unc, float(np.min(ratios, initial=np.inf)))
             # y is where mu was just fitted, so best already holds its certificate
-            if not np.isfinite(alpha) or alpha <= 1e-16:
+            if alpha <= 1e-16:
                 return best[1], best[2], it, False
             y = y + alpha * residual_dir
             work = []
@@ -422,9 +422,9 @@ def _probe_directions(A: DiscreteOperator):
     image = apply(A, direction).values
     noise = np.random.default_rng(0).standard_normal(A.z_grid.size)
 
+    # every fz-norm is > 0: U's columns vanish where fzw = 0, psi's image is < 0
     def fz_normalize(v):
-        nrm = math.sqrt(float(np.dot(fzw, v**2)))
-        return v / nrm if nrm > 0 else v
+        return v / math.sqrt(float(np.dot(fzw, v**2)))
 
     return {
         "worst_singular": fz_normalize(worst),

@@ -228,7 +228,9 @@ class ShapeConstraint:
         if difference_order is None:
             raise ValueError(f"unknown constraint name {name!r}")
         object.__setattr__(self, "difference_order", difference_order)
-        if not 0 <= self.tolerance < math.inf:
+        tol = self.tolerance
+        real = isinstance(tol, (int, float, np.floating)) and not isinstance(tol, bool)
+        if not (real and 0 <= tol < math.inf):
             raise ValueError(
                 f"tolerance must be nonnegative and finite, got {self.tolerance!r}"
             )

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 
@@ -79,10 +80,10 @@ def _is_number(value) -> bool:
 
 
 # What a field's annotation demands of its value (annotations are strings
-# under `from __future__ import annotations`).
+# under `from __future__ import annotations`); "finite" compares ints exactly.
 _TYPE_RULES = {
     "int": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
-    "float": ("a finite number", lambda v: _is_number(v) and math.isfinite(v)),
+    "float": ("a finite number", lambda v: _is_number(v) and abs(v) <= sys.float_info.max),
     "tuple": ("a list", lambda v: isinstance(v, (list, tuple))),
     "str": ("a string", lambda v: isinstance(v, str)),
     "str | None": ("a string", lambda v: v is None or isinstance(v, str)),
@@ -158,7 +159,7 @@ class ExperimentConfig:
             )
         if not self.lambdas:
             raise ConfigError("lambdas must contain at least one value")
-        if not all(_is_number(l) and 0 < l < math.inf for l in self.lambdas):
+        if not all(_TYPE_RULES["float"][1](l) and l > 0 for l in self.lambdas):
             raise ConfigError(
                 "Tikhonov lambda values must be positive and finite; "
                 f"got {self.lambdas}"
@@ -476,18 +477,13 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
         _check_types((dgp_fields[key], value) for key, value in dgp_raw.items())
         try:
             dgp = DgpSpec(**dgp_raw)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"invalid dgp config: {exc}") from exc
     else:
         raise ConfigError("dgp config must be a JSON object")
     if "experiment" not in kwargs:
         raise ConfigError("config must name an experiment")
-    try:
-        return ExperimentConfig(dgp=dgp, **kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
+    return ExperimentConfig(dgp=dgp, **kwargs)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -496,6 +492,6 @@ def load_config(path) -> ExperimentConfig:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also UnicodeDecodeError and int()'s digit limit
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     return config_from_mapping(raw)

@@ -139,11 +139,16 @@ def test_size_too_large_to_allocate_exits_2_on_one_line(tmp_path, capsys, comman
         json.dumps({"experiment": "svd_report", "dgp": {"rho": 2.0}}),
         # the independent case is spelled rho = 0; the old flag is unknown
         json.dumps({"experiment": "svd_report", "dgp": {"independent_case": True}}),
+        # each raised out of load_config with a traceback and exit 1
+        pytest.param(b'\xff\xfe{"experiment": "svd_report"}', id="not-utf-8"),
+        pytest.param(
+            b'{"experiment": "svd_report", "seed": 1' + b"0" * 5000 + b"}", id="5000-digits"
+        ),
     ],
 )
 def test_bad_config_files_exit_2(tmp_path, payload, capsys):
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(payload)
+    cfg_path.write_bytes(payload.encode() if isinstance(payload, str) else payload)
     assert cli.main(["svd", "--config", str(cfg_path)]) == 2
     assert "config error" in capsys.readouterr().err
 

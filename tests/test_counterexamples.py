@@ -130,6 +130,21 @@ class TestAnalyticBound:
         one = analytic_sup_A_psi_bound(spec, 1.0)
         assert abs(analytic_sup_A_psi_bound(spec, 7.5) - 7.5 * one) < 1e-12
 
+    def test_the_documented_sup_ratio_at_rho_half(self):
+        """The README and analytic_sup_A_psi_bound state criterion 2's worst
+        sup/bound ratio at rho = 0.5, n <= 100 (monotone) on N x N grids; only
+        N = 128 stays below 1, which is why criterion 2 runs there."""
+        dgp = make_dgp(DgpSpec(rho=0.5))
+        for size, documented in ((128, 0.916), (256, 1.131), (512, 1.346)):
+            grid = make_grid(size)
+            A = discretize(dgp, grid, grid)
+            worst_ratio = 0.0
+            for n in range(101):
+                spec = CounterexampleSpec(MONOTONE, n)
+                sup = float(np.abs(apply(A, psi(spec, grid)).values).max())
+                worst_ratio = max(worst_ratio, sup / analytic_sup_A_psi_bound(spec, dgp.sup_fxz))
+            assert abs(worst_ratio - documented) < 5e-4, (size, worst_ratio)
+
     def test_rejects_nonpositive_density_sup(self):
         with pytest.raises(ValueError):
             analytic_sup_A_psi_bound(CounterexampleSpec(MONOTONE, 1), 0.0)

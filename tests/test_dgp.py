@@ -13,7 +13,6 @@ from npivlab.dgp import (
     DgpSpec,
     make_dgp,
     ndtri,
-    phi0_callable,
     phi0_on_grid,
     sample,
 )
@@ -140,10 +139,11 @@ def test_spec_validation():
 
 
 def test_phi0_choices():
-    x = np.linspace(0.0, 1.0, 9)
-    assert np.allclose(phi0_callable(DgpSpec(phi0="square"))(x), x**2)
-    assert np.allclose(phi0_callable(DgpSpec(phi0="linear"))(x), x)
-    affine = phi0_callable(DgpSpec(phi0="affine_plus_exp"))(x)
+    grid = make_grid(9)
+    x = grid.nodes
+    assert np.allclose(phi0_on_grid(DgpSpec(phi0="square"), grid).values, x**2)
+    assert np.allclose(phi0_on_grid(DgpSpec(phi0="linear"), grid).values, x)
+    affine = phi0_on_grid(DgpSpec(phi0="affine_plus_exp"), grid).values
     assert np.all(np.isfinite(affine))
     assert np.all(np.diff(affine) > 0)
 

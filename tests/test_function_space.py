@@ -388,8 +388,9 @@ def test_shape_constraint_validation():
     with pytest.raises(ValueError):
         ShapeConstraint("convex", tolerance=-1e-9)
     # a NaN tolerance made check_shape fail increasing functions with a
-    # positive slack, and an infinite one passed anything
-    for tol in (np.nan, np.inf):
+    # positive slack, and an infinite one passed anything; a bool counted as
+    # 1 and a string raised a bare TypeError from the comparison
+    for tol in (np.nan, np.inf, True, "1e-9"):
         with pytest.raises(ValueError, match="tolerance"):
             ShapeConstraint("monotone_nondecreasing", tolerance=tol)
 

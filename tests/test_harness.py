@@ -764,6 +764,23 @@ class TestConfigLoading:
             ('"dgp": {"independent_case": "yes"}', "unknown dgp config key"),
             ('"dgp": {"independent_case": 1}', "unknown dgp config key"),
             ('"dgp": {"independent_case": null}', "unknown dgp config key"),
+            # an int beyond the double range raised OverflowError from
+            # math.isfinite, and a lambda of that size from float()
+            pytest.param(
+                '"epsilon": 1' + "0" * 400,
+                "epsilon must be a finite number",
+                id="epsilon-400-digits",
+            ),
+            pytest.param(
+                '"dgp": {"rho": 1' + "0" * 400 + "}",
+                "rho must be a finite number",
+                id="rho-400-digits",
+            ),
+            pytest.param(
+                '"lambdas": [1e-4, 1' + "0" * 400 + "]",
+                "lambda values must be positive and finite",
+                id="lambda-400-digits",
+            ),
         ],
     )
     def test_floats_must_be_finite_and_booleans_boolean(self, payload, fragment):

@@ -9,6 +9,7 @@ claim of the test suite rests on it.
 
 import ast
 import os
+import tomllib
 
 import pytest
 
@@ -34,7 +35,6 @@ def test_package_modules_are_found():
 
 
 def test_the_package_and_its_metadata_spell_one_version():
-    tomllib = pytest.importorskip("tomllib")  # the standard library's from 3.11
     with open(ROOT / "pyproject.toml", "rb") as handle:
         project = tomllib.load(handle)["project"]
     assert project["version"] == npivlab.__version__
